@@ -19,7 +19,6 @@ from .catalog import (
     canonical_form,
     canonical_key,
     generate_catalog,
-    type_index,
 )
 from .complexes import (
     DiameterEstimate,
@@ -27,7 +26,6 @@ from .complexes import (
     SimplicialComplex,
     build_complex,
     connected_components,
-    contains_simplex,
     induced_subcomplex,
     skeleton_diameter,
 )
@@ -39,11 +37,9 @@ from .sampler import (
     SimpletSampler,
     WalkConfig,
     burn_in_steps,
-    sample_uniform_simplet,
     state_degree,
     state_neighbors,
     transition_matrix,
-    transition_step,
 )
 
 __version__ = "0.1.0"
@@ -70,7 +66,6 @@ __all__ = [
     "canonical_form",
     "canonical_key",
     "connected_components",
-    "contains_simplex",
     "empirical_sfd",
     "enumerate_connected_subsets",
     "exact_counts",
@@ -82,14 +77,11 @@ __all__ = [
     "load_complex",
     "read_facets",
     "required_samples",
-    "sample_uniform_simplet",
     "sfd_from_counts",
     "skeleton_diameter",
     "state_degree",
     "state_neighbors",
     "transition_matrix",
-    "transition_step",
     "tv_distance",
-    "type_index",
     "write_facets",
 ]

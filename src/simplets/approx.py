@@ -9,7 +9,6 @@ deviation over the type family equals the coordinatewise L-infinity distance.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -86,19 +85,19 @@ def approximate_sfd(
     complex_: SimplicialComplex,
     catalog: SimpletCatalog,
     params: ApproxParams,
-    rng: random.Random | None = None,
 ) -> SFDVector:
     """(epsilon, delta)-approximate SFD vector via uniform MCMC simplet sampling.
 
     Draws ``required_samples(params.epsilon, params.delta, params.c)`` simplets
-    with the configured walk and averages their type indicators.
+    with the configured walk, seeded by ``params.walk.rng_seed``, and averages
+    their type indicators.
     """
     if params.walk.m != catalog.m:
         raise InputError(
             f"walk samples simplets up to m={params.walk.m} but the catalog covers m={catalog.m}"
         )
     count = required_samples(params.epsilon, params.delta, params.c)
-    sampler = SimpletSampler(complex_, params.walk, rng=rng)
+    sampler = SimpletSampler(complex_, params.walk)
     samples = [sampler.sample() for _ in range(count)]
     return empirical_sfd(samples, catalog)
 

@@ -24,7 +24,6 @@ __all__ = [
     "canonical_form",
     "canonical_key",
     "generate_catalog",
-    "type_index",
 ]
 
 MAX_CATALOG_VERTICES = 6
@@ -135,11 +134,6 @@ class SimpletCatalog:
             {"k": key.vertex_count, "simplices": [list(s) for s in key.simplices]}
             for key in self.keys
         ]
-
-
-def type_index(catalog: SimpletCatalog, key: SimpletTypeKey) -> int:
-    """Position of ``key`` in the catalog order."""
-    return catalog.index_of(key)
 
 
 # --- catalog generation --------------------------------------------------
@@ -345,8 +339,8 @@ class TypeClassifier:
 
     The cache key is the order-preserving local encoding of a simplet, so
     repeated classification of structurally identical simplets skips the
-    permutation search.  Semantics match ``type_index(catalog,
-    canonical_key(simplet))`` exactly.
+    permutation search.  Semantics match
+    ``catalog.index_of(canonical_key(simplet))`` exactly.
     """
 
     def __init__(self, catalog: SimpletCatalog):

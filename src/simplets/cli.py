@@ -10,7 +10,6 @@ import argparse
 import functools
 import json
 import math
-import random
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -23,15 +22,13 @@ from .errors import InputError, IntegrityError, StructuralError
 from .exact import SFDVector, exact_counts
 from .generate import GenSpec, generate, largest_connected_restriction
 from .io import load_complex, write_facets
-from .sampler import FRESH_CHAIN, THINNED, SimpletSampler, WalkConfig, burn_in_steps
+from .sampler import SimpletSampler, WalkConfig, burn_in_steps
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_STRUCTURAL = 4
 EXIT_INTERNAL = 5
-
-_MODE_NAMES = {"fresh": FRESH_CHAIN, "thinned": THINNED}
 
 
 def _positive_int(text: str) -> int:
@@ -78,12 +75,6 @@ def _add_accuracy_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--c", type=_positive_float, default=0.5, help="sample-bound constant")
 
 
-def _add_walk_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--c-mix", type=_positive_float, default=1.0, help="burn-in scale factor")
-    parser.add_argument("--mode", choices=sorted(_MODE_NAMES), default="fresh", help="chain reuse mode")
-    parser.add_argument("--thin-gap", type=_positive_int, default=None, help="steps between thinned samples")
-
-
 def _add_gen_flags(parser: argparse.ArgumentParser, required: bool) -> None:
     parser.add_argument("--model", choices=("flag", "lm"), required=required, help="generator model")
     parser.add_argument("--n", type=_positive_int, help="number of vertices")
@@ -110,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_approx.add_argument("--input", required=True, help="facet file path")
     p_approx.add_argument("--m", type=int, choices=range(3, 7), required=True)
     _add_accuracy_flags(p_approx)
-    _add_walk_flags(p_approx)
+    p_approx.add_argument("--c-mix", type=_positive_float, default=1.0, help="burn-in scale factor")
     p_approx.add_argument("--seed", type=int, default=0)
     p_approx.add_argument("--largest-component", action="store_true",
                           help="restrict to the largest connected component first")
@@ -121,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_validate.add_argument("--gen-seed", type=int, default=0, help="generator seed")
     p_validate.add_argument("--m", type=int, choices=range(3, 7), required=True)
     _add_accuracy_flags(p_validate)
-    _add_walk_flags(p_validate)
+    p_validate.add_argument("--c-mix", type=_positive_float, default=1.0, help="burn-in scale factor")
     p_validate.add_argument("--trials", type=_positive_int, default=200)
     p_validate.add_argument("--seed", type=int, default=0)
     p_validate.add_argument("--threads", type=_positive_int, default=1)
@@ -156,16 +147,6 @@ def _require_connected(complex_: SimplicialComplex) -> None:
         )
 
 
-def _walk_config(args, m: int) -> WalkConfig:
-    return WalkConfig(
-        m=m,
-        c_mix=args.c_mix,
-        per_sample_mode=_MODE_NAMES[args.mode],
-        thinning_gap=args.thin_gap,
-        rng_seed=args.seed,
-    )
-
-
 def _sfd_json(sfd: SFDVector, catalog) -> dict:
     obj = sfd.to_json_obj()
     obj["catalog"] = catalog.to_json_obj()
@@ -198,9 +179,9 @@ def cmd_approx(args) -> int:
         labels = [labels[v] for v in kept]
     _require_connected(complex_)
     catalog = generate_catalog(args.m)
-    walk = _walk_config(args, args.m)
+    walk = WalkConfig(m=args.m, c_mix=args.c_mix, rng_seed=args.seed)
     params = ApproxParams(epsilon=args.epsilon, delta=args.delta, c=args.c, walk=walk)
-    sfd = approximate_sfd(complex_, catalog, params, rng=random.Random(args.seed))
+    sfd = approximate_sfd(complex_, catalog, params)
     obj = _sfd_json(sfd, catalog)
     obj.update(
         {
@@ -210,7 +191,6 @@ def cmd_approx(args) -> int:
             "samples": sfd.total,
             "burn_in": burn_in_steps(complex_, args.c_mix),
             "seed": args.seed,
-            "walk_mode": args.mode,
             "labels": labels,
         }
     )
@@ -269,11 +249,11 @@ def _trial_context(facets: tuple, n: int, m: int):
 
 
 def _run_trial(job: tuple) -> float:
-    facets, n, m, epsilon, delta, c, c_mix, mode, gap, trial_seed, exact_freq = job
+    facets, n, m, epsilon, delta, c, c_mix, trial_seed, exact_freq = job
     complex_, catalog = _trial_context(facets, n, m)
-    walk = WalkConfig(m=m, c_mix=c_mix, per_sample_mode=mode, thinning_gap=gap, rng_seed=trial_seed)
+    walk = WalkConfig(m=m, c_mix=c_mix, rng_seed=trial_seed)
     params = ApproxParams(epsilon=epsilon, delta=delta, c=c, walk=walk)
-    approx = approximate_sfd(complex_, catalog, params, rng=random.Random(trial_seed))
+    approx = approximate_sfd(complex_, catalog, params)
     exact = SFDVector(catalog_m=m, frequencies=exact_freq)
     return linf_distance(approx, exact)
 
@@ -305,13 +285,15 @@ def _complex_from_args(args) -> tuple[SimplicialComplex, dict]:
 def cmd_validate(args) -> int:
     complex_, origin = _complex_from_args(args)
     _require_connected(complex_)
-    catalog = generate_catalog(args.m)
+    # Serial trials use this very complex and catalog, and pool workers forked
+    # after this point inherit them, so the diameter is computed once per run.
+    complex_, catalog = _trial_context(complex_.facets, complex_.vertex_count, args.m)
+    diameter = skeleton_diameter(complex_)
 
     t0 = time.perf_counter()
     exact = exact_counts(complex_, catalog)
     exact_seconds = time.perf_counter() - t0
 
-    mode = _MODE_NAMES[args.mode]
     jobs = [
         (
             complex_.facets,
@@ -321,8 +303,6 @@ def cmd_validate(args) -> int:
             args.delta,
             args.c,
             args.c_mix,
-            mode,
-            args.thin_gap,
             args.seed * 1_000_003 + trial,
             exact.frequencies,
         )
@@ -336,7 +316,6 @@ def cmd_validate(args) -> int:
         errors = [_run_trial(job) for job in jobs]
     sampling_seconds = time.perf_counter() - t0
 
-    diameter = skeleton_diameter(complex_)
     report = ExperimentReport(
         n=complex_.vertex_count,
         edges=complex_.edge_count,
@@ -350,10 +329,8 @@ def cmd_validate(args) -> int:
             "delta": args.delta,
             "c": args.c,
             "c_mix": args.c_mix,
-            "walk_mode": args.mode,
-            "thinning_gap": args.thin_gap,
             "samples_per_trial": required_samples(args.epsilon, args.delta, args.c),
-            "burn_in": burn_in_steps(complex_, args.c_mix, diameter=diameter.value),
+            "burn_in": burn_in_steps(complex_, args.c_mix),
             "trials": args.trials,
             "seed": args.seed,
             "threads": args.threads,

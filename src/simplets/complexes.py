@@ -20,7 +20,6 @@ __all__ = [
     "Simplet",
     "DiameterEstimate",
     "build_complex",
-    "contains_simplex",
     "induced_subcomplex",
     "skeleton_diameter",
     "connected_components",
@@ -33,10 +32,10 @@ class SimplicialComplex:
     """Immutable simplicial complex over dense vertex ids ``[0, n)``.
 
     Construct through :func:`build_complex`; instances are safe for concurrent
-    read access.
+    read access.  ``_diameter`` memoises :func:`skeleton_diameter`.
     """
 
-    __slots__ = ("vertex_count", "facets", "adjacency", "max_degree", "_incidence")
+    __slots__ = ("vertex_count", "facets", "adjacency", "max_degree", "_incidence", "_diameter")
 
     def __init__(self, vertex_count: int, facets: tuple[frozenset[int], ...]):
         self.vertex_count = vertex_count
@@ -52,6 +51,7 @@ class SimplicialComplex:
         self._incidence: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in incidence)
         self.adjacency: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adjacency)
         self.max_degree = max((len(s) for s in self.adjacency), default=0)
+        self._diameter: DiameterEstimate | None = None
 
     def __repr__(self) -> str:
         return (
@@ -179,11 +179,6 @@ def build_complex(facet_list: Iterable[Iterable[int]], vertex_count: int) -> Sim
     return SimplicialComplex(vertex_count, tuple(kept))
 
 
-def contains_simplex(complex_: SimplicialComplex, vertices: Iterable[int]) -> bool:
-    """True iff ``vertices`` spans a simplex of the complex."""
-    return complex_.contains_simplex(vertices)
-
-
 def induced_subcomplex(complex_: SimplicialComplex, vertices: Iterable[int]) -> Simplet | None:
     """The simplet induced on ``vertices``, or None if its skeleton is disconnected.
 
@@ -233,16 +228,20 @@ def connected_components(complex_: SimplicialComplex) -> list[list[int]]:
     return components
 
 
-def skeleton_diameter(
-    complex_: SimplicialComplex,
-    exact_threshold: int = DEFAULT_DIAMETER_EXACT_THRESHOLD,
-) -> DiameterEstimate:
-    """Diameter of the 1-skeleton.
+def skeleton_diameter(complex_: SimplicialComplex) -> DiameterEstimate:
+    """Diameter of the 1-skeleton, computed once per complex.
 
-    Exact all-pairs BFS when ``n <= exact_threshold``; otherwise a double-sweep
-    lower-bound estimate (two BFS passes), flagged ``exact=False``.  The
-    skeleton must be connected.
+    Exact all-pairs BFS when ``n <= DEFAULT_DIAMETER_EXACT_THRESHOLD``;
+    otherwise a double-sweep lower-bound estimate (two BFS passes), flagged
+    ``exact=False``.  The skeleton must be connected; a disconnected one
+    raises on every call.
     """
+    if complex_._diameter is None:
+        complex_._diameter = _compute_diameter(complex_)
+    return complex_._diameter
+
+
+def _compute_diameter(complex_: SimplicialComplex) -> DiameterEstimate:
     n = complex_.vertex_count
     if n <= 1:
         return DiameterEstimate(0, True)
@@ -252,7 +251,7 @@ def skeleton_diameter(
         raise StructuralError(
             f"1-skeleton is disconnected: no path between vertices 0 and {unreachable}"
         )
-    if n <= exact_threshold:
+    if n <= DEFAULT_DIAMETER_EXACT_THRESHOLD:
         diameter = max(dist)
         for v in range(1, n):
             ecc = max(_bfs_distances(complex_, v))

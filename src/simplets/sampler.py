@@ -23,16 +23,11 @@ __all__ = [
     "SimpletSampler",
     "state_neighbors",
     "state_degree",
-    "transition_step",
     "burn_in_steps",
-    "sample_uniform_simplet",
     "transition_matrix",
 ]
 
 State = tuple[int, ...]
-
-FRESH_CHAIN = "fresh_chain"
-THINNED = "thinned"
 
 # Move segments are memoized per visited state up to this many states; beyond
 # it only the (cheap) degree cache keeps growing.
@@ -44,15 +39,13 @@ class WalkConfig:
     """Random-walk parameters.
 
     ``burn_in`` overrides the mixing-bound heuristic when set; otherwise the
-    sampler uses ``burn_in_steps`` with ``c_mix``.  ``thinning_gap`` (thinned
-    mode only) defaults to the burn-in length.
+    sampler uses ``burn_in_steps`` with ``c_mix``.  ``rng_seed`` seeds the
+    sampler's only random stream.
     """
 
     m: int
     burn_in: int | None = None
     c_mix: float = 1.0
-    per_sample_mode: str = FRESH_CHAIN
-    thinning_gap: int | None = None
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
@@ -62,10 +55,6 @@ class WalkConfig:
             raise InputError("burn_in must be a positive integer")
         if self.c_mix <= 0:
             raise InputError("c_mix must be positive")
-        if self.per_sample_mode not in (FRESH_CHAIN, THINNED):
-            raise InputError(f"unknown per_sample_mode {self.per_sample_mode!r}")
-        if self.thinning_gap is not None and self.thinning_gap < 1:
-            raise InputError("thinning_gap must be a positive integer")
 
 
 def _components(adj: Sequence[frozenset[int]], vertices: Sequence[int]) -> list[set[int]]:
@@ -145,23 +134,41 @@ def _expand(
     return degree, segments
 
 
+def _neighbor(state: State, segments: list[tuple], index: int) -> State:
+    """The ``index``-th move of ``state``, counting through its segments in order."""
+    for seg in segments:
+        kind = seg[0]
+        if kind == "add":
+            vs = seg[1]
+            if index < len(vs):
+                return tuple(sorted(state + (vs[index],)))
+            index -= len(vs)
+        elif kind == "remove":
+            us = seg[1]
+            if index < len(us):
+                u = us[index]
+                return tuple(x for x in state if x != u)
+            index -= len(us)
+        else:
+            _, u, vs = seg
+            if index < len(vs):
+                rest = [x for x in state if x != u]
+                rest.append(vs[index])
+                rest.sort()
+                return tuple(rest)
+            index -= len(vs)
+    raise IntegrityError("neighbor index out of range; degree bookkeeping is broken")
+
+
 def state_neighbors(
     complex_: SimplicialComplex, state: Sequence[int], m: int
 ) -> list[State]:
-    """All distinct states one add/remove/swap move away from ``state``."""
+    """Every state one add/remove/swap move away from ``state``, sorted.
+
+    These are exactly the proposals of the walk: one per move index."""
     s = tuple(sorted(state))
-    _, segments = _expand(complex_.adjacency, s, m, materialize=True)
-    out: list[State] = []
-    for seg in segments:
-        if seg[0] == "add":
-            out.extend(tuple(sorted(s + (v,))) for v in seg[1])
-        elif seg[0] == "remove":
-            out.extend(tuple(x for x in s if x != u) for u in seg[1])
-        else:
-            _, u, vs = seg
-            rest = [x for x in s if x != u]
-            out.extend(tuple(sorted(rest + [v])) for v in vs)
-    return sorted(set(out))
+    degree, segments = _expand(complex_.adjacency, s, m, materialize=True)
+    return sorted(_neighbor(s, segments, i) for i in range(degree))
 
 
 def state_degree(complex_: SimplicialComplex, state: Sequence[int], m: int) -> int:
@@ -186,18 +193,12 @@ def burn_in_steps(
 class SimpletSampler:
     """Draws uniformly distributed simplets from a connected host complex.
 
-    In ``fresh_chain`` mode every sample starts a new chain at a uniformly
-    random edge and walks for the burn-in length, which gives independent
-    samples.  In ``thinned`` mode one chain persists across calls and
-    advances ``thinning_gap`` steps per sample (faster, samples correlated).
+    Every sample starts a fresh chain at a uniformly random edge and walks for
+    the burn-in length, so samples are independent.  One stream seeded with
+    ``config.rng_seed`` drives every chain.
     """
 
-    def __init__(
-        self,
-        complex_: SimplicialComplex,
-        config: WalkConfig,
-        rng: random.Random | None = None,
-    ):
+    def __init__(self, complex_: SimplicialComplex, config: WalkConfig):
         if complex_.vertex_count < 3:
             raise StructuralError(
                 f"sampler requires at least 3 vertices, got {complex_.vertex_count}"
@@ -210,8 +211,7 @@ class SimpletSampler:
             if config.burn_in is not None
             else burn_in_steps(complex_, config.c_mix, diameter=diameter)
         )
-        self.thinning_gap = config.thinning_gap or self.burn_in
-        self._rng = rng if rng is not None else random.Random(config.rng_seed)
+        self._rng = random.Random(config.rng_seed)
         self._adj = complex_.adjacency
         self._edges = complex_.edges()
         self._degree_cache: dict[State, int] = {}
@@ -238,29 +238,7 @@ class SimpletSampler:
         self._info = info
 
     def _neighbor_at(self, index: int) -> State:
-        s = self._current
-        for seg in self._info[1]:
-            kind = seg[0]
-            if kind == "add":
-                vs = seg[1]
-                if index < len(vs):
-                    return tuple(sorted(s + (vs[index],)))
-                index -= len(vs)
-            elif kind == "remove":
-                us = seg[1]
-                if index < len(us):
-                    u = us[index]
-                    return tuple(x for x in s if x != u)
-                index -= len(us)
-            else:
-                _, u, vs = seg
-                if index < len(vs):
-                    rest = [x for x in s if x != u]
-                    rest.append(vs[index])
-                    rest.sort()
-                    return tuple(rest)
-                index -= len(vs)
-        raise IntegrityError("neighbor index out of range; degree bookkeeping is broken")
+        return _neighbor(self._current, self._info[1], index)
 
     def _step(self) -> None:
         d_s = self._info[0]
@@ -273,44 +251,14 @@ class SimpletSampler:
             self._arrive(proposal)
         self.steps_taken += 1
 
-    def _start_chain(self) -> None:
+    def sample(self) -> Simplet:
+        """One simplet distributed (approximately) uniformly over all states:
+        a fresh chain from a uniform edge, walked for the burn-in length."""
         edge = self._edges[self._rng.randrange(len(self._edges))]
         self._arrive(edge)
         for _ in range(self.burn_in):
             self._step()
-
-    def sample(self) -> Simplet:
-        """One simplet distributed (approximately) uniformly over all states."""
-        if self.config.per_sample_mode == FRESH_CHAIN or self._current is None:
-            self._start_chain()
-        else:
-            for _ in range(self.thinning_gap):
-                self._step()
         return Simplet(self.complex, self._current)
-
-
-def transition_step(
-    complex_: SimplicialComplex, state: Sequence[int], m: int, rng: random.Random
-) -> State:
-    """One transition of the walk from ``state``: propose a uniform neighbor,
-    accept with probability min(1, d(state)/d(neighbor)), else stay."""
-    s = tuple(sorted(state))
-    neighbors = state_neighbors(complex_, s, m)
-    d_s = len(neighbors)
-    if d_s == 0:
-        raise StructuralError(f"state {s} has no neighbors")
-    proposal = neighbors[rng.randrange(d_s)]
-    d_j = state_degree(complex_, proposal, m)
-    if d_j <= d_s or rng.random() < d_s / d_j:
-        return proposal
-    return s
-
-
-def sample_uniform_simplet(
-    complex_: SimplicialComplex, config: WalkConfig, rng: random.Random | None = None
-) -> Simplet:
-    """One-shot uniform simplet draw; use SimpletSampler for repeated draws."""
-    return SimpletSampler(complex_, config, rng=rng).sample()
 
 
 def transition_matrix(complex_: SimplicialComplex, m: int):

@@ -104,8 +104,8 @@ def test_distances_reject_mismatched_m(catalog3, catalog4):
 
 def test_approximate_sfd_deterministic(filled_triangle, catalog3):
     params = ApproxParams(0.1, 0.1, 0.5, WalkConfig(m=3, c_mix=3.0, rng_seed=5))
-    one = approximate_sfd(filled_triangle, catalog3, params, rng=random.Random(5))
-    two = approximate_sfd(filled_triangle, catalog3, params, rng=random.Random(5))
+    one = approximate_sfd(filled_triangle, catalog3, params)
+    two = approximate_sfd(filled_triangle, catalog3, params)
     assert one == two
     assert one.total == 166
 
@@ -119,7 +119,7 @@ def test_approximate_sfd_m_mismatch(filled_triangle, catalog4):
 def test_approximate_sfd_close_to_exact(triangle_with_pendant, catalog3):
     exact = exact_counts(triangle_with_pendant, catalog3)
     params = ApproxParams(0.1, 0.1, 0.5, WalkConfig(m=3, c_mix=4.0, rng_seed=11))
-    approx = approximate_sfd(triangle_with_pendant, catalog3, params, rng=random.Random(11))
+    approx = approximate_sfd(triangle_with_pendant, catalog3, params)
     assert linf_distance(approx, exact) <= 0.1
 
 

@@ -12,7 +12,6 @@ from simplets import (
     canonical_key,
     generate_catalog,
     induced_subcomplex,
-    type_index,
 )
 
 from . import oracles
@@ -138,22 +137,22 @@ def test_catalog_generation_deterministic(catalog4):
     assert again.keys == catalog4.keys
 
 
-def test_type_index_roundtrip(catalog4):
+def test_index_of_roundtrip(catalog4):
     edge_key = canonical_form(2, [(0, 1)])
-    assert type_index(catalog4, edge_key) == 0
+    assert catalog4.index_of(edge_key) == 0
     for i, key in enumerate(catalog4.keys):
-        assert type_index(catalog4, key) == i
+        assert catalog4.index_of(key) == i
 
 
-def test_type_index_errors(catalog3, catalog4):
+def test_index_of_errors(catalog3, catalog4):
     four_vertex = next(k for k in catalog4.keys if k.vertex_count == 4)
     with pytest.raises(InputError):
-        type_index(catalog3, four_vertex)
+        catalog3.index_of(four_vertex)
     from simplets import SimpletTypeKey
 
     non_canonical = SimpletTypeKey(3, ((0, 2), (1, 2)))
     with pytest.raises(IntegrityError):
-        type_index(catalog3, non_canonical)
+        catalog3.index_of(non_canonical)
 
 
 def test_canonical_key_of_every_simplet_is_in_catalog(catalog4):

@@ -5,13 +5,17 @@ import pytest
 
 from simplets import (
     InputError,
+    SimpletSampler,
+    SimplicialComplex,
     StructuralError,
+    WalkConfig,
     build_complex,
+    burn_in_steps,
     connected_components,
-    contains_simplex,
     induced_subcomplex,
     skeleton_diameter,
 )
+from simplets import complexes
 
 from .conftest import random_complexes
 from . import oracles
@@ -48,13 +52,13 @@ def test_build_rejects_bad_input(facets, n):
 
 
 def test_contains_simplex_basics(filled_triangle, empty_triangle):
-    assert contains_simplex(filled_triangle, {0, 1})
-    assert contains_simplex(filled_triangle, {0, 1, 2})
-    assert not contains_simplex(empty_triangle, {0, 1, 2})
+    assert filled_triangle.contains_simplex({0, 1})
+    assert filled_triangle.contains_simplex({0, 1, 2})
+    assert not empty_triangle.contains_simplex({0, 1, 2})
     with pytest.raises(InputError):
-        contains_simplex(filled_triangle, {0, 7})
+        filled_triangle.contains_simplex({0, 7})
     with pytest.raises(InputError):
-        contains_simplex(filled_triangle, set())
+        filled_triangle.contains_simplex(set())
 
 
 def test_downward_closure_over_all_facets():
@@ -164,17 +168,45 @@ def test_skeleton_diameter_matches_brute_force():
         assert skeleton_diameter(complex_).value == brute_diameter(complex_)
 
 
-def test_skeleton_diameter_estimate_is_bounded(path4):
-    estimate = skeleton_diameter(path4, exact_threshold=2)
+def test_skeleton_diameter_estimate_is_bounded(path4, monkeypatch):
+    connected = [c for c in random_complexes(10, seed=105) if len(connected_components(c)) == 1]
+    exact = [skeleton_diameter(c).value for c in connected]
+    # Above the threshold the diameter is a double-sweep estimate; fresh
+    # complexes, because each one keeps the first diameter computed for it.
+    monkeypatch.setattr(complexes, "DEFAULT_DIAMETER_EXACT_THRESHOLD", 2)
+    estimate = skeleton_diameter(path4)
     assert not estimate.exact
     assert 1 <= estimate.value <= 3
-    for complex_ in random_complexes(10, seed=105):
-        if len(connected_components(complex_)) != 1:
-            continue
-        exact = skeleton_diameter(complex_)
-        estimate = skeleton_diameter(complex_, exact_threshold=2)
+    for complex_, value in zip(connected, exact):
+        estimate = skeleton_diameter(SimplicialComplex(complex_.vertex_count, complex_.facets))
         assert not estimate.exact
-        assert 1 <= estimate.value <= exact.value
+        assert 1 <= estimate.value <= value
+
+
+def test_skeleton_diameter_computed_once_per_complex(monkeypatch):
+    calls = []
+    bfs = complexes._bfs_distances
+
+    def counting_bfs(complex_, start):
+        calls.append(start)
+        return bfs(complex_, start)
+
+    monkeypatch.setattr(complexes, "_bfs_distances", counting_bfs)
+    complex_ = build_complex([{0, 1, 2}, {2, 3}, {3, 4}], 5)
+    first = skeleton_diameter(complex_)
+    assert first.value == 3
+    assert len(calls) == complex_.vertex_count
+    calls.clear()
+    assert skeleton_diameter(complex_) == first
+    assert burn_in_steps(complex_, 1.0) >= 1
+    SimpletSampler(complex_, WalkConfig(m=3))
+    assert calls == []
+
+    disconnected = build_complex([{0, 1}, {2, 3}], 4)
+    for _ in range(2):
+        with pytest.raises(StructuralError):
+            skeleton_diameter(disconnected)
+    assert len(calls) == 2
 
 
 def test_skeleton_diameter_disconnected_names_vertices():

@@ -7,18 +7,18 @@ import numpy as np
 import pytest
 
 from simplets import (
+    ApproxParams,
     InputError,
     SimpletSampler,
     StructuralError,
     WalkConfig,
+    approximate_sfd,
     build_complex,
     burn_in_steps,
     enumerate_connected_subsets,
-    sample_uniform_simplet,
     state_degree,
     state_neighbors,
     transition_matrix,
-    transition_step,
 )
 
 from .conftest import random_complexes
@@ -69,10 +69,6 @@ def test_config_validation():
         WalkConfig(m=3, burn_in=0)
     with pytest.raises(InputError):
         WalkConfig(m=3, c_mix=0.0)
-    with pytest.raises(InputError):
-        WalkConfig(m=3, per_sample_mode="bogus")
-    with pytest.raises(InputError):
-        WalkConfig(m=3, thinning_gap=0)
 
 
 def test_neighbors_filled_triangle(filled_triangle):
@@ -178,17 +174,18 @@ def test_transition_probability_value(filled_triangle):
     assert matrix[i, i] == pytest.approx(0.0, abs=1e-15)
 
 
-def test_transition_step_realizes_matrix(filled_triangle):
-    rng = random.Random(3)
-    tallies = Counter()
+def test_sampler_step_realizes_matrix(filled_triangle):
+    # With a burn-in of one, each sample is a uniform edge followed by one step
+    # of the production walk, so its law is the edge-averaged row of T.
+    sampler = SimpletSampler(filled_triangle, WalkConfig(m=3, burn_in=1, rng_seed=3))
     draws = 30_000
-    for _ in range(draws):
-        tallies[transition_step(filled_triangle, (0, 1), 3, rng)] += 1
+    tallies = Counter(sampler.sample().vertices for _ in range(draws))
     states, matrix = transition_matrix(filled_triangle, 3)
-    i = states.index((0, 1))
-    for state, count in tallies.items():
-        expected = matrix[i, states.index(state)] if state != (0, 1) else matrix[i, i]
-        assert count / draws == pytest.approx(expected, abs=0.02)
+    edges = filled_triangle.edges()
+    expected = sum(matrix[states.index(e)] for e in edges) / len(edges)
+    assert set(tallies) <= set(states)
+    for state, probability in zip(states, expected):
+        assert tallies[state] / draws == pytest.approx(probability, abs=0.02)
 
 
 def test_burn_in_formula(filled_triangle, path4):
@@ -224,18 +221,21 @@ def test_deterministic_replay(filled_triangle):
     assert seq_a == seq_b
 
 
-def test_thinned_mode_deterministic_and_distinct_stream(triangle_with_pendant):
-    config = WalkConfig(m=3, per_sample_mode="thinned", thinning_gap=5, rng_seed=4)
-    a = SimpletSampler(triangle_with_pendant, config)
-    b = SimpletSampler(triangle_with_pendant, config)
-    seq_a = [a.sample().vertices for _ in range(30)]
-    assert seq_a == [b.sample().vertices for _ in range(30)]
-    assert a.steps_taken == a.burn_in + 29 * 5
-
-
-def test_sample_uniform_simplet_one_shot(filled_triangle):
-    simplet = sample_uniform_simplet(filled_triangle, WalkConfig(m=3, rng_seed=1))
-    assert simplet.vertices in {(0, 1), (0, 2), (1, 2), (0, 1, 2)}
+def test_seeded_stream_is_pinned(triangle_with_pendant, catalog3):
+    # Any change to the seeded output stream shows up here; such a change
+    # must be deliberate and recorded.
+    sampler = SimpletSampler(triangle_with_pendant, WalkConfig(m=3, rng_seed=4))
+    assert [sampler.sample().vertices for _ in range(20)] == [
+        (2, 3), (2, 3), (2, 3), (0, 1), (2, 3), (0, 1, 2), (0, 2), (1, 2, 3), (0, 2), (1, 2),
+        (0, 2), (0, 1, 2), (0, 1, 2), (0, 2), (0, 1, 2), (0, 2), (0, 1, 2), (1, 2, 3), (2, 3),
+        (0, 1),
+    ]
+    params = ApproxParams(0.2, 0.1, 0.5, WalkConfig(m=3, rng_seed=7))
+    sfd = approximate_sfd(triangle_with_pendant, catalog3, params)
+    assert sfd.counts == (25, 11, 0, 6)
+    assert sfd.frequencies == (
+        0.5952380952380952, 0.2619047619047619, 0.0, 0.14285714285714285,
+    )
 
 
 def test_samples_are_valid_states():
