@@ -15,7 +15,7 @@ from typing import Sequence
 from .catalog import SimpletCatalog, TypeClassifier
 from .complexes import Simplet, SimplicialComplex
 from .errors import InputError
-from .exact import SFDVector
+from .exact import SFDVector, sfd_from_counts
 from .sampler import SimpletSampler, WalkConfig
 
 __all__ = [
@@ -71,14 +71,7 @@ def empirical_sfd(samples: Sequence[Simplet], catalog: SimpletCatalog) -> SFDVec
     counts = [0] * len(catalog)
     for simplet in samples:
         counts[classifier.index_of(simplet)] += 1
-    total = len(samples)
-    return SFDVector(
-        catalog_m=catalog.m,
-        frequencies=tuple(c / total for c in counts),
-        counts=tuple(counts),
-        total=total,
-        mode="approx",
-    )
+    return sfd_from_counts(counts, catalog.m, mode="approx")
 
 
 def approximate_sfd(

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .approx import ApproxParams, approximate_sfd, linf_distance, required_samples
 from .catalog import generate_catalog
-from .complexes import SimplicialComplex, connected_components, skeleton_diameter
+from .complexes import SimplicialComplex, skeleton_diameter
 from .errors import InputError, IntegrityError, StructuralError
 from .exact import SFDVector, exact_counts
 from .generate import GenSpec, generate, largest_connected_restriction
@@ -139,14 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require_connected(complex_: SimplicialComplex) -> None:
-    if complex_.vertex_count == 0 or len(connected_components(complex_)) > 1:
-        raise StructuralError(
-            "the 1-skeleton is disconnected; rerun with --largest-component "
-            "to analyze the largest connected component"
-        )
-
-
 def _sfd_json(sfd: SFDVector, catalog) -> dict:
     obj = sfd.to_json_obj()
     obj["catalog"] = catalog.to_json_obj()
@@ -177,7 +169,7 @@ def cmd_approx(args) -> int:
     if args.largest_component:
         complex_, kept = largest_connected_restriction(complex_)
         labels = [labels[v] for v in kept]
-    _require_connected(complex_)
+    skeleton_diameter(complex_)  # raises at once if disconnected, before the catalog
     catalog = generate_catalog(args.m)
     walk = WalkConfig(m=args.m, c_mix=args.c_mix, rng_seed=args.seed)
     params = ApproxParams(epsilon=args.epsilon, delta=args.delta, c=args.c, walk=walk)
@@ -206,7 +198,6 @@ class ExperimentReport:
     edges: int
     max_degree: int
     diameter: int
-    diameter_exact: bool
     params: dict
     exact: dict
     linf_errors: list[float] = field(default_factory=list)
@@ -226,7 +217,6 @@ class ExperimentReport:
                 "edges": self.edges,
                 "max_degree": self.max_degree,
                 "diameter": self.diameter,
-                "diameter_exact": self.diameter_exact,
             },
             "params": self.params,
             "exact": self.exact,
@@ -245,7 +235,9 @@ class ExperimentReport:
 
 @functools.lru_cache(maxsize=4)
 def _trial_context(facets: tuple, n: int, m: int):
-    return SimplicialComplex(n, facets), generate_catalog(m)
+    complex_ = SimplicialComplex(n, facets)
+    skeleton_diameter(complex_)  # raises at once if disconnected, before the catalog
+    return complex_, generate_catalog(m)
 
 
 def _run_trial(job: tuple) -> float:
@@ -284,7 +276,6 @@ def _complex_from_args(args) -> tuple[SimplicialComplex, dict]:
 
 def cmd_validate(args) -> int:
     complex_, origin = _complex_from_args(args)
-    _require_connected(complex_)
     # Serial trials use this very complex and catalog, and pool workers forked
     # after this point inherit them, so the diameter is computed once per run.
     complex_, catalog = _trial_context(complex_.facets, complex_.vertex_count, args.m)
@@ -321,7 +312,6 @@ def cmd_validate(args) -> int:
         edges=complex_.edge_count,
         max_degree=complex_.max_degree,
         diameter=diameter.value,
-        diameter_exact=diameter.exact,
         params={
             **origin,
             "m": args.m,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import operator
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, cycle
 from typing import Iterable, NamedTuple
 
 from .errors import InputError, StructuralError
@@ -24,9 +24,6 @@ __all__ = [
     "skeleton_diameter",
     "connected_components",
 ]
-
-DEFAULT_DIAMETER_EXACT_THRESHOLD = 2048
-
 
 class SimplicialComplex:
     """Immutable simplicial complex over dense vertex ids ``[0, n)``.
@@ -66,9 +63,6 @@ class SimplicialComplex:
     def edges(self) -> list[tuple[int, int]]:
         """All 1-simplices as sorted pairs, in deterministic order."""
         return [(u, v) for u in range(self.vertex_count) for v in self.adjacency[u] if u < v]
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
 
     def _check_vertices(self, vertices: Iterable[int]) -> tuple[int, ...]:
         vs = tuple(vertices)
@@ -135,7 +129,6 @@ class Simplet:
 
 class DiameterEstimate(NamedTuple):
     value: int
-    exact: bool
 
 
 def build_complex(facet_list: Iterable[Iterable[int]], vertex_count: int) -> SimplicialComplex:
@@ -229,12 +222,10 @@ def connected_components(complex_: SimplicialComplex) -> list[list[int]]:
 
 
 def skeleton_diameter(complex_: SimplicialComplex) -> DiameterEstimate:
-    """Diameter of the 1-skeleton, computed once per complex.
+    """Exact diameter of the 1-skeleton for every n, computed once per complex.
 
-    Exact all-pairs BFS when ``n <= DEFAULT_DIAMETER_EXACT_THRESHOLD``;
-    otherwise a double-sweep lower-bound estimate (two BFS passes), flagged
-    ``exact=False``.  The skeleton must be connected; a disconnected one
-    raises on every call.
+    The skeleton must be connected; a disconnected one raises
+    :class:`StructuralError` on every call.
     """
     if complex_._diameter is None:
         complex_._diameter = _compute_diameter(complex_)
@@ -242,22 +233,46 @@ def skeleton_diameter(complex_: SimplicialComplex) -> DiameterEstimate:
 
 
 def _compute_diameter(complex_: SimplicialComplex) -> DiameterEstimate:
+    """BoundingDiameters (Takes & Kosters, CIKM 2011).
+
+    A BFS from ``v`` with eccentricity ``e`` bounds every eccentricity by
+    ``max(d, e - d) <= ecc(w) <= e + d``, ``d = dist(v, w)``.  Candidates whose
+    eccentricity is known or can move neither ``lb`` nor ``ub`` are dropped.
+    Sources alternate between the largest upper bound (ties: lowest degree,
+    likely peripheral) and the smallest lower bound (ties: highest degree).
+    """
     n = complex_.vertex_count
     if n <= 1:
-        return DiameterEstimate(0, True)
+        return DiameterEstimate(0)
     dist = _bfs_distances(complex_, 0)
     if min(dist) < 0:
-        unreachable = dist.index(-1)
         raise StructuralError(
-            f"1-skeleton is disconnected: no path between vertices 0 and {unreachable}"
+            f"1-skeleton is disconnected: no path between vertices 0 and {dist.index(-1)}; "
+            "restrict to the largest connected component (--largest-component)"
         )
-    if n <= DEFAULT_DIAMETER_EXACT_THRESHOLD:
-        diameter = max(dist)
-        for v in range(1, n):
-            ecc = max(_bfs_distances(complex_, v))
-            if ecc > diameter:
-                diameter = ecc
-        return DiameterEstimate(diameter, True)
-    far = max(range(n), key=lambda v: dist[v])
-    estimate = max(_bfs_distances(complex_, far))
-    return DiameterEstimate(estimate, False)
+    degree = [len(neighbors) for neighbors in complex_.adjacency]
+    lo = [0] * n
+    hi = [n] * n
+    candidates = range(n)
+    lb, ub = 0, n
+    for from_high in cycle((True, False)):
+        ecc = max(dist)
+        for w in candidates:
+            d = dist[w]
+            low = max(lo[w], d, ecc - d)
+            lo[w] = low
+            hi[w] = min(hi[w], ecc + d)
+            if low > lb:
+                lb = low
+        # Dropped vertices have eccentricity at most lb; every hi is at most 2 * ecc.
+        candidates = [
+            w for w in candidates if lo[w] < hi[w] and (hi[w] > lb or 2 * lo[w] < ub)
+        ]
+        ub = min(ub, max((hi[w] for w in candidates), default=lb))
+        if lb >= ub:
+            return DiameterEstimate(lb)
+        if from_high:
+            source = max(candidates, key=lambda w: (hi[w], -degree[w]))
+        else:
+            source = min(candidates, key=lambda w: (lo[w], -degree[w]))
+        dist = _bfs_distances(complex_, source)

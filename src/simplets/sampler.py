@@ -29,9 +29,9 @@ __all__ = [
 
 State = tuple[int, ...]
 
-# Move segments are memoized per visited state up to this many states; beyond
-# it only the (cheap) degree cache keeps growing.
-_SEGMENT_CACHE_CAP = 20_000
+# Degrees and move segments are each memoized for at most this many states;
+# states seen after a cache fills are recomputed on every visit.
+_CACHE_CAP = 20_000
 
 
 @dataclass(frozen=True)
@@ -224,16 +224,18 @@ class SimpletSampler:
         d = self._degree_cache.get(state)
         if d is None:
             d, _ = _expand(self._adj, state, self.config.m, materialize=False)
-            self._degree_cache[state] = d
+            if len(self._degree_cache) < _CACHE_CAP:
+                self._degree_cache[state] = d
         return d
 
     def _arrive(self, state: State) -> None:
         info = self._segment_cache.get(state)
         if info is None:
             info = _expand(self._adj, state, self.config.m, materialize=True)
-            if len(self._segment_cache) < _SEGMENT_CACHE_CAP:
+            if len(self._segment_cache) < _CACHE_CAP:
                 self._segment_cache[state] = info
-            self._degree_cache[state] = info[0]
+            if len(self._degree_cache) < _CACHE_CAP:
+                self._degree_cache[state] = info[0]
         self._current = state
         self._info = info
 

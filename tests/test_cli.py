@@ -100,6 +100,14 @@ def test_approx_rejects_disconnected_with_pointer(capsys, tmp_path):
     assert json.loads(out)["samples"] == 166
 
 
+def test_validate_rejects_disconnected_with_pointer(capsys, tmp_path):
+    path = tmp_path / "two.txt"
+    path.write_text("0 1\n1 2\n3 4\n")
+    code, _, err = run(capsys, ["validate", "--input", str(path), "--m", "3", "--trials", "2"])
+    assert code == 4
+    assert "--largest-component" in err
+
+
 def test_validate_report(capsys, tmp_path):
     path = write_triangle(tmp_path)
     argv = ["validate", "--input", path, "--m", "3", "--epsilon", "0.15",

@@ -4,15 +4,17 @@ from itertools import combinations
 import pytest
 
 from simplets import (
+    GenSpec,
     InputError,
     SimpletSampler,
-    SimplicialComplex,
     StructuralError,
     WalkConfig,
     build_complex,
     burn_in_steps,
     connected_components,
+    generate,
     induced_subcomplex,
+    largest_connected_restriction,
     skeleton_diameter,
 )
 from simplets import complexes
@@ -136,12 +138,12 @@ def test_induced_subcomplex_matches_exhaustive_subset_scan():
         ([{0, 1, 2}], 3, 1),
         ([{0, 1}, {1, 2}, {2, 3}], 4, 3),
         ([{0, 1}, {1, 2}, {2, 3}, {0, 3}], 4, 2),
+        # A double sweep from vertex 0 would read 2 here.
+        ([{0, 1}, {1, 2}, {2, 3}, {0, 3}, {3, 4}], 5, 3),
     ],
 )
 def test_skeleton_diameter_small_cases(facets, n, expected):
-    result = skeleton_diameter(build_complex(facets, n))
-    assert result.value == expected
-    assert result.exact
+    assert skeleton_diameter(build_complex(facets, n)).value == expected
 
 
 def test_skeleton_diameter_matches_brute_force():
@@ -166,21 +168,25 @@ def test_skeleton_diameter_matches_brute_force():
         if len(connected_components(complex_)) != 1:
             continue
         assert skeleton_diameter(complex_).value == brute_diameter(complex_)
+    # Sparse, tree-like complexes have long peripheral paths (diameters 7 to 14).
+    for seed in range(20):
+        spec = GenSpec("flag", 60, 2.2 / 59, seed=seed)
+        complex_ = largest_connected_restriction(generate(spec)).complex
+        assert skeleton_diameter(complex_).value == brute_diameter(complex_)
 
 
-def test_skeleton_diameter_estimate_is_bounded(path4, monkeypatch):
-    connected = [c for c in random_complexes(10, seed=105) if len(connected_components(c)) == 1]
-    exact = [skeleton_diameter(c).value for c in connected]
-    # Above the threshold the diameter is a double-sweep estimate; fresh
-    # complexes, because each one keeps the first diameter computed for it.
-    monkeypatch.setattr(complexes, "DEFAULT_DIAMETER_EXACT_THRESHOLD", 2)
-    estimate = skeleton_diameter(path4)
-    assert not estimate.exact
-    assert 1 <= estimate.value <= 3
-    for complex_, value in zip(connected, exact):
-        estimate = skeleton_diameter(SimplicialComplex(complex_.vertex_count, complex_.facets))
-        assert not estimate.exact
-        assert 1 <= estimate.value <= value
+def test_skeleton_diameter_of_long_path_takes_few_passes(monkeypatch):
+    calls = []
+    bfs = complexes._bfs_distances
+
+    def counting_bfs(complex_, start):
+        calls.append(start)
+        return bfs(complex_, start)
+
+    monkeypatch.setattr(complexes, "_bfs_distances", counting_bfs)
+    path = build_complex([{v, v + 1} for v in range(2999)], 3000)
+    assert skeleton_diameter(path).value == 2999
+    assert len(calls) <= 10
 
 
 def test_skeleton_diameter_computed_once_per_complex(monkeypatch):
@@ -195,7 +201,7 @@ def test_skeleton_diameter_computed_once_per_complex(monkeypatch):
     complex_ = build_complex([{0, 1, 2}, {2, 3}, {3, 4}], 5)
     first = skeleton_diameter(complex_)
     assert first.value == 3
-    assert len(calls) == complex_.vertex_count
+    assert 1 <= len(calls) <= complex_.vertex_count
     calls.clear()
     assert skeleton_diameter(complex_) == first
     assert burn_in_steps(complex_, 1.0) >= 1

@@ -8,6 +8,7 @@ import pytest
 
 from simplets import (
     ApproxParams,
+    GenSpec,
     InputError,
     SimpletSampler,
     StructuralError,
@@ -16,10 +17,13 @@ from simplets import (
     build_complex,
     burn_in_steps,
     enumerate_connected_subsets,
+    generate,
+    largest_connected_restriction,
     state_degree,
     state_neighbors,
     transition_matrix,
 )
+from simplets import sampler as sampler_module
 
 from .conftest import random_complexes
 
@@ -236,6 +240,19 @@ def test_seeded_stream_is_pinned(triangle_with_pendant, catalog3):
     assert sfd.frequencies == (
         0.5952380952380952, 0.2619047619047619, 0.0, 0.14285714285714285,
     )
+
+
+def test_caches_stay_within_cap_without_changing_the_stream(monkeypatch):
+    complex_ = largest_connected_restriction(generate(GenSpec("flag", 40, 0.15, seed=3))).complex
+    config = WalkConfig(m=4, burn_in=300, rng_seed=5)
+    uncapped = SimpletSampler(complex_, config)
+    expected = [uncapped.sample().vertices for _ in range(30)]
+    assert len(uncapped._segment_cache) > 50
+    monkeypatch.setattr(sampler_module, "_CACHE_CAP", 50)
+    capped = SimpletSampler(complex_, config)
+    assert [capped.sample().vertices for _ in range(30)] == expected
+    assert len(capped._degree_cache) <= 50
+    assert len(capped._segment_cache) <= 50
 
 
 def test_samples_are_valid_states():
