@@ -5,7 +5,9 @@ sorted vertex tuples.  Moves add, remove, or swap one vertex while keeping
 the induced skeleton connected.  Transition probabilities are
 ``T(i, j) = min(1/d(i), 1/d(j))`` for neighboring states, with the residual
 mass on a self-loop, which makes ``T`` symmetric and doubly stochastic and
-hence the stationary distribution uniform over all states.
+hence the stationary distribution uniform over all states.  The walk expands
+each state once, into its degree and its move segments, and reuses that
+expansion both to weigh a proposal and to move from it once accepted.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ __all__ = [
 
 State = tuple[int, ...]
 
-# Degrees and move segments are each memoized for at most this many states;
-# states seen after a cache fills are recomputed on every visit.
+# The degree and move segments of a state are memoized together, for at most
+# this many states; states seen after the cache fills are expanded on every visit.
 _CACHE_CAP = 20_000
 
 
@@ -82,27 +84,24 @@ def _components(adj: Sequence[frozenset[int]], vertices: Sequence[int]) -> list[
     return comps
 
 
-def _expand(
-    adj: Sequence[frozenset[int]], state: State, m: int, materialize: bool
-):
-    """Degree and (optionally) the move segments of a state.
+def _expand(adj: Sequence[frozenset[int]], state: State, m: int) -> tuple[int, list[tuple]]:
+    """Degree and move segments of a state.
 
     Returns ``(degree, segments)`` where segments is a list of
     ``("add", [v, ...])``, ``("remove", [u, ...])`` and ``("swap", u, [v, ...])``
-    entries in that order, or None when ``materialize`` is false.
+    entries in that order, and ``degree`` is the number of moves they hold.
     """
     k = len(state)
     sset = set(state)
     degree = 0
-    segments: list[tuple] | None = [] if materialize else None
+    segments: list[tuple] = []
     union = set().union
 
     if k < m:
         adds = union(*(adj[v] for v in state)) - sset
         if adds:
             degree += len(adds)
-            if materialize:
-                segments.append(("add", sorted(adds)))
+            segments.append(("add", sorted(adds)))
 
     removable: list[int] = []
     swap_entries: list[tuple[int, list[int]]] = []
@@ -124,13 +123,11 @@ def _expand(
             cand -= sset
         if cand:
             degree += len(cand)
-            if materialize:
-                swap_entries.append((u, sorted(cand)))
-    degree += len(removable)
-    if materialize:
-        if removable:
-            segments.append(("remove", removable))
-        segments.extend(("swap", u, vs) for u, vs in swap_entries)
+            swap_entries.append((u, sorted(cand)))
+    if removable:
+        degree += len(removable)
+        segments.append(("remove", removable))
+    segments.extend(("swap", u, vs) for u, vs in swap_entries)
     return degree, segments
 
 
@@ -160,21 +157,32 @@ def _neighbor(state: State, segments: list[tuple], index: int) -> State:
     raise IntegrityError("neighbor index out of range; degree bookkeeping is broken")
 
 
+def _walk_state(complex_: SimplicialComplex, state: Sequence[int], m: int) -> State:
+    """``state`` as a sorted walk state; InputError unless it holds 2..m
+    distinct vertices of ``complex_`` whose induced skeleton is connected."""
+    vs = complex_._check_vertices(state)
+    s = tuple(sorted(set(vs)))
+    if len(s) != len(vs) or not 2 <= len(s) <= m:
+        raise InputError(f"a state has 2..{m} distinct vertices, got {vs}")
+    if not complex_.skeleton_connected_on(s):
+        raise InputError(f"the skeleton induced on {s} is not connected")
+    return s
+
+
 def state_neighbors(
     complex_: SimplicialComplex, state: Sequence[int], m: int
 ) -> list[State]:
     """Every state one add/remove/swap move away from ``state``, sorted.
 
     These are exactly the proposals of the walk: one per move index."""
-    s = tuple(sorted(state))
-    degree, segments = _expand(complex_.adjacency, s, m, materialize=True)
+    s = _walk_state(complex_, state, m)
+    degree, segments = _expand(complex_.adjacency, s, m)
     return sorted(_neighbor(s, segments, i) for i in range(degree))
 
 
 def state_degree(complex_: SimplicialComplex, state: Sequence[int], m: int) -> int:
     """Number of out-neighbors of a state in the walk graph."""
-    degree, _ = _expand(complex_.adjacency, tuple(sorted(state)), m, materialize=False)
-    return degree
+    return _expand(complex_.adjacency, _walk_state(complex_, state, m), m)[0]
 
 
 def burn_in_steps(
@@ -214,50 +222,41 @@ class SimpletSampler:
         self._rng = random.Random(config.rng_seed)
         self._adj = complex_.adjacency
         self._edges = complex_.edges()
-        self._degree_cache: dict[State, int] = {}
-        self._segment_cache: dict[State, tuple[int, list[tuple]]] = {}
+        self._degree_cache: dict[State, tuple[int, list[tuple]]] = {}
         self._current: State | None = None
         self._info: tuple[int, list[tuple]] | None = None
         self.steps_taken = 0
 
-    def _degree(self, state: State) -> int:
-        d = self._degree_cache.get(state)
-        if d is None:
-            d, _ = _expand(self._adj, state, self.config.m, materialize=False)
-            if len(self._degree_cache) < _CACHE_CAP:
-                self._degree_cache[state] = d
-        return d
-
-    def _arrive(self, state: State) -> None:
-        info = self._segment_cache.get(state)
+    def _expansion(self, state: State) -> tuple[int, list[tuple]]:
+        info = self._degree_cache.get(state)
         if info is None:
-            info = _expand(self._adj, state, self.config.m, materialize=True)
-            if len(self._segment_cache) < _CACHE_CAP:
-                self._segment_cache[state] = info
+            info = _expand(self._adj, state, self.config.m)
             if len(self._degree_cache) < _CACHE_CAP:
-                self._degree_cache[state] = info[0]
-        self._current = state
-        self._info = info
+                self._degree_cache[state] = info
+        return info
 
-    def _neighbor_at(self, index: int) -> State:
-        return _neighbor(self._current, self._info[1], index)
+    def _degree(self, state: State) -> int:
+        return self._expansion(state)[0]
 
     def _step(self) -> None:
-        d_s = self._info[0]
+        d_s, segments = self._info
         if d_s == 0:
             raise IntegrityError("reached a sink state; impossible for a connected host")
         rng = self._rng
-        proposal = self._neighbor_at(rng.randrange(d_s))
-        d_j = self._degree(proposal)
+        proposal = _neighbor(self._current, segments, rng.randrange(d_s))
+        info = self._expansion(proposal)
+        d_j = info[0]
         if d_j <= d_s or rng.random() < d_s / d_j:
-            self._arrive(proposal)
+            self._current = proposal
+            self._info = info
         self.steps_taken += 1
 
     def sample(self) -> Simplet:
         """One simplet distributed (approximately) uniformly over all states:
         a fresh chain from a uniform edge, walked for the burn-in length."""
         edge = self._edges[self._rng.randrange(len(self._edges))]
-        self._arrive(edge)
+        self._current = edge
+        self._info = self._expansion(edge)
         for _ in range(self.burn_in):
             self._step()
         return Simplet(self.complex, self._current)
@@ -277,11 +276,11 @@ def transition_matrix(complex_: SimplicialComplex, m: int):
     position = {s: i for i, s in enumerate(states)}
     count = len(states)
     matrix = np.zeros((count, count))
-    degrees = [state_degree(complex_, s, m) for s in states]
-    for i, s in enumerate(states):
-        for t in state_neighbors(complex_, s, m):
-            j = position[t]
-            matrix[i, j] = min(1.0 / degrees[i], 1.0 / degrees[j])
+    expansions = [_expand(complex_.adjacency, s, m) for s in states]
+    for i, (s, (degree, segments)) in enumerate(zip(states, expansions)):
+        for index in range(degree):
+            j = position[_neighbor(s, segments, index)]
+            matrix[i, j] = min(1.0 / degree, 1.0 / expansions[j][0])
         # the true residual is >= 0; clamp the float rounding of exact zeros
         matrix[i, i] = max(0.0, 1.0 - matrix[i].sum())
     return states, matrix

@@ -242,17 +242,46 @@ def test_seeded_stream_is_pinned(triangle_with_pendant, catalog3):
     )
 
 
+def _flag40():
+    return largest_connected_restriction(generate(GenSpec("flag", 40, 0.15, seed=3))).complex
+
+
 def test_caches_stay_within_cap_without_changing_the_stream(monkeypatch):
-    complex_ = largest_connected_restriction(generate(GenSpec("flag", 40, 0.15, seed=3))).complex
+    complex_ = _flag40()
     config = WalkConfig(m=4, burn_in=300, rng_seed=5)
     uncapped = SimpletSampler(complex_, config)
     expected = [uncapped.sample().vertices for _ in range(30)]
-    assert len(uncapped._segment_cache) > 50
+    assert len(uncapped._degree_cache) > 50
     monkeypatch.setattr(sampler_module, "_CACHE_CAP", 50)
     capped = SimpletSampler(complex_, config)
     assert [capped.sample().vertices for _ in range(30)] == expected
     assert len(capped._degree_cache) <= 50
-    assert len(capped._segment_cache) <= 50
+
+
+def test_each_state_is_expanded_once_while_the_cache_has_room(monkeypatch):
+    calls = []
+    expand = sampler_module._expand
+
+    def counted(adj, state, m):
+        calls.append(state)
+        return expand(adj, state, m)
+
+    monkeypatch.setattr(sampler_module, "_expand", counted)
+    sampler = SimpletSampler(_flag40(), WalkConfig(m=4, burn_in=300, rng_seed=5))
+    for _ in range(30):
+        sampler.sample()
+    assert len(sampler._degree_cache) < sampler_module._CACHE_CAP
+    assert len(calls) == len(sampler._degree_cache)
+
+
+@pytest.mark.parametrize("state", [(0, 9), (1,), (0, 2), (0, 1, 2, 3), (1, 1, 2)])
+def test_state_queries_reject_non_states(state):
+    # out of range, too small, disconnected, too large, repeated vertex
+    path = build_complex([{0, 1}, {1, 2}, {2, 3}], 4)
+    with pytest.raises(InputError):
+        state_degree(path, state, 3)
+    with pytest.raises(InputError):
+        state_neighbors(path, state, 3)
 
 
 def test_samples_are_valid_states():
