@@ -10,7 +10,6 @@ from .approx import (
     empirical_sfd,
     linf_distance,
     required_samples,
-    tv_distance,
 )
 from .catalog import (
     SimpletCatalog,
@@ -82,6 +81,5 @@ __all__ = [
     "state_degree",
     "state_neighbors",
     "transition_matrix",
-    "tv_distance",
     "write_facets",
 ]

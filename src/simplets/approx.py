@@ -25,7 +25,6 @@ __all__ = [
     "empirical_sfd",
     "approximate_sfd",
     "linf_distance",
-    "tv_distance",
 ]
 
 # The bound leaves the leading constant unspecified; 0.5 matches the constants
@@ -106,9 +105,3 @@ def linf_distance(a: SFDVector, b: SFDVector) -> float:
     """Maximum per-type frequency deviation (the approximation guarantee's metric)."""
     _check_comparable(a, b)
     return max(abs(x - y) for x, y in zip(a.frequencies, b.frequencies))
-
-
-def tv_distance(a: SFDVector, b: SFDVector) -> float:
-    """Total variation distance between two SFD vectors."""
-    _check_comparable(a, b)
-    return 0.5 * sum(abs(x - y) for x, y in zip(a.frequencies, b.frequencies))

@@ -2,19 +2,21 @@
 
 A simplet type is an isomorphism class of small connected complexes.  The
 canonical key of a simplet is the minimum, over all relabelings of its k
-vertices, of the sorted list of its simplices of dimension >= 1.  Keys are
-compared with simplices ordered by (size, vertex tuple), so the edge part of
-an encoding always precedes the higher-dimensional part.
+vertices, of the list of its simplices of dimension >= 1 sorted by (size,
+vertex tuple), so the edge part of an encoding always precedes the
+higher-dimensional part.  Relabelings keep the number of simplices of each
+size, so that minimum is the relabeling with the largest simplex mask
+(``complexes.simplex_layout``), and every search here runs on masks.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 from typing import Iterable, Iterator, Sequence
 
-from .complexes import Simplet
+from .complexes import Simplet, decode_mask, simplex_layout
 from .errors import InputError, IntegrityError
 
 __all__ = [
@@ -28,41 +30,32 @@ __all__ = [
 
 MAX_CATALOG_VERTICES = 6
 
-_PERMS: dict[int, tuple[tuple[int, ...], ...]] = {}
+_TABLES: dict[int, tuple[tuple[int, ...], ...]] = {}
 
 
-def _perms(k: int) -> tuple[tuple[int, ...], ...]:
-    if k not in _PERMS:
+def _tables(k: int) -> tuple[tuple[int, ...], ...]:
+    """One weight table per permutation of ``range(k)``: entry ``b`` is the
+    weight that the subset of weight ``2 ** b`` is relabeled to."""
+    if k not in _TABLES:
         if k > MAX_CATALOG_VERTICES:
             raise InputError(
                 f"canonicalization supports at most {MAX_CATALOG_VERTICES} vertices, got {k}"
             )
-        _PERMS[k] = tuple(permutations(range(k)))
-    return _PERMS[k]
+        weight = {s: w for s, w, _ in simplex_layout(k)}
+        _TABLES[k] = tuple(
+            tuple(weight[tuple(sorted(perm[v] for v in s))] for s in reversed(weight))
+            for perm in permutations(range(k))
+        )
+    return _TABLES[k]
 
 
-def _encoding_sort_key(simplex: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    return (len(simplex), simplex)
+def _bits(mask: int) -> list[int]:
+    return [b for b in range(mask.bit_length()) if mask >> b & 1]
 
 
-def _encode_under(
-    perm: Sequence[int], simplices: Sequence[tuple[int, ...]]
-) -> tuple[tuple[int, ...], ...]:
-    return tuple(
-        sorted((tuple(sorted(perm[v] for v in s)) for s in simplices), key=_encoding_sort_key)
-    )
-
-
-def _min_encoding(
-    perms: Iterable[Sequence[int]], simplices: Sequence[tuple[int, ...]]
-) -> tuple[tuple[int, ...], ...]:
-    best = None
-    for perm in perms:
-        cand = _encode_under(perm, simplices)
-        if best is None or cand < best:
-            best = cand
-    assert best is not None
-    return best
+def _max_mask(tables: Iterable[Sequence[int]], mask: int) -> int:
+    bits = _bits(mask)
+    return max(sum(map(table.__getitem__, bits)) for table in tables)
 
 
 @dataclass(frozen=True, order=True)
@@ -73,6 +66,10 @@ class SimpletTypeKey:
     simplices: tuple[tuple[int, ...], ...]
 
 
+def _key(k: int, mask: int) -> SimpletTypeKey:
+    return SimpletTypeKey(k, decode_mask(k, mask))
+
+
 def canonical_form(vertex_count: int, simplices: Iterable[Iterable[int]]) -> SimpletTypeKey:
     """Canonical key of a complex given over local labels ``[0, vertex_count)``.
 
@@ -81,22 +78,22 @@ def canonical_form(vertex_count: int, simplices: Iterable[Iterable[int]]) -> Sim
     """
     if vertex_count < 2:
         raise InputError("a simplet type needs at least two vertices")
-    base = sorted({tuple(sorted(s)) for s in simplices})
-    for s in base:
-        if len(s) < 2:
-            raise InputError(f"simplex {s} has dimension < 1")
-        if any(not (0 <= v < vertex_count) for v in s):
-            raise InputError(f"simplex {s} uses labels outside [0, {vertex_count})")
-    return SimpletTypeKey(vertex_count, _min_encoding(_perms(vertex_count), base))
+    tables = _tables(vertex_count)  # rejects k > 6 before the 2**k layout is built
+    weight = {s: w for s, w, _ in simplex_layout(vertex_count)}
+    mask = 0
+    for s in {tuple(sorted(s)) for s in simplices}:
+        if s not in weight:
+            raise InputError(
+                f"simplex {s} is not a set of at least two distinct labels in [0, {vertex_count})"
+            )
+        mask |= weight[s]
+    return _key(vertex_count, _max_mask(tables, mask))
 
 
 def canonical_key(simplet: Simplet) -> SimpletTypeKey:
     """Canonical key of a simplet, invariant under vertex relabeling of the host."""
-    local = {v: i for i, v in enumerate(simplet.vertices)}
-    return canonical_form(
-        len(simplet.vertices),
-        [tuple(local[v] for v in s) for s in simplet.simplices()],
-    )
+    k = len(simplet.vertices)
+    return _key(k, _max_mask(_tables(k), simplet.mask()))
 
 
 @dataclass(frozen=True)
@@ -171,29 +168,29 @@ def _labeled_trees(k: int) -> Iterator[tuple[tuple[int, int], ...]]:
         yield tuple(edges)
 
 
-def _connected_graph_classes(k: int) -> list[tuple[tuple[int, ...], ...]]:
-    """Canonical edge encodings of all connected spanning graphs on k vertices.
+def _connected_graph_classes(k: int) -> list[int]:
+    """Canonical edge masks of all connected spanning graphs on k vertices.
 
     Grown by single-edge augmentation from spanning trees, which reaches every
     connected spanning graph.
     """
-    perms = _perms(k)
-    all_pairs = list(combinations(range(k), 2))
-    classes: set[tuple[tuple[int, ...], ...]] = set()
-    frontier: set[tuple[tuple[int, ...], ...]] = set()
+    tables = _tables(k)
+    weight = {s: w for s, w, _ in simplex_layout(k)}
+    edge_weights = [w for s, w in weight.items() if len(s) == 2]
+    classes: set[int] = set()
+    frontier: set[int] = set()
     for tree in _labeled_trees(k):
-        enc = _min_encoding(perms, tree)
+        enc = _max_mask(tables, sum(weight[e] for e in tree))
         if enc not in classes:
             classes.add(enc)
             frontier.add(enc)
     while frontier:
-        next_frontier: set[tuple[tuple[int, ...], ...]] = set()
+        next_frontier: set[int] = set()
         for enc in frontier:
-            present = set(enc)
-            for pair in all_pairs:
-                if pair in present:
+            for w in edge_weights:
+                if enc & w:
                     continue
-                enc2 = _min_encoding(perms, list(enc) + [pair])
+                enc2 = _max_mask(tables, enc | w)
                 if enc2 not in classes:
                     classes.add(enc2)
                     next_frontier.add(enc2)
@@ -201,27 +198,21 @@ def _connected_graph_classes(k: int) -> list[tuple[tuple[int, ...], ...]]:
     return sorted(classes)
 
 
-def _automorphisms(
-    k: int, simplices: Sequence[tuple[int, ...]]
-) -> list[tuple[int, ...]]:
-    """Vertex permutations mapping the simplex set onto itself."""
-    reference = set(simplices)
-    auts = []
-    for perm in _perms(k):
-        if all(tuple(sorted(perm[v] for v in s)) in reference for s in simplices):
-            auts.append(perm)
-    return auts
+def _stabilizer(tables: Iterable[Sequence[int]], mask: int) -> list[Sequence[int]]:
+    """The relabelings, as weight tables, that map the mask onto itself."""
+    bits = _bits(mask)
+    return [table for table in tables if sum(map(table.__getitem__, bits)) == mask]
 
 
 def _slot_permutations(
-    candidates: Sequence[tuple[int, ...]], auts: Sequence[tuple[int, ...]]
+    candidates: Sequence[int], auts: Sequence[Sequence[int]]
 ) -> list[tuple[int, ...]]:
     """Distinct permutations of candidate slots induced by the automorphisms."""
     slot_of = {c: i for i, c in enumerate(candidates)}
     seen = set()
     maps = []
-    for perm in auts:
-        slot_map = tuple(slot_of[tuple(sorted(perm[v] for v in c))] for c in candidates)
+    for table in auts:
+        slot_map = tuple(slot_of[table[c.bit_length() - 1]] for c in candidates)
         if slot_map not in seen:
             seen.add(slot_map)
             maps.append(slot_map)
@@ -277,46 +268,31 @@ def _orbit_reps_bulk(num_slots: int, slot_perms: Sequence[tuple[int, ...]]) -> I
 
 
 def _fillings(
-    k: int,
-    previous_level: Sequence[tuple[int, ...]],
-    size: int,
-    chosen: list[tuple[int, ...]],
-    auts: list[tuple[int, ...]],
-    out: list[tuple[tuple[int, ...], ...]],
+    k: int, size: int, chosen: int, auts: list[Sequence[int]], out: list[int]
 ) -> None:
     """Enumerate downward-closed extensions level by level, one rep per Aut-orbit."""
-    if size > k:
-        out.append(tuple(chosen))
-        return
-    prev = set(previous_level)
     candidates = [
-        c for c in combinations(range(k), size) if all(f in prev for f in combinations(c, size - 1))
+        w for s, w, faces in simplex_layout(k) if len(s) == size and chosen & faces == faces
     ]
     if not candidates:
-        out.append(tuple(chosen))
+        out.append(chosen)
         return
     slot_perms = _slot_permutations(candidates, auts)
-    for mask in _orbit_reps(len(candidates), slot_perms):
-        picked = [candidates[i] for i in range(len(candidates)) if mask >> i & 1]
-        picked_set = set(picked)
-        stab = [
-            a for a in auts if all(tuple(sorted(a[v] for v in c)) in picked_set for c in picked)
-        ]
-        _fillings(k, picked, size + 1, chosen + picked, stab, out)
+    for slots in _orbit_reps(len(candidates), slot_perms):
+        picked = sum(w for i, w in enumerate(candidates) if slots >> i & 1)
+        _fillings(k, size + 1, chosen | picked, _stabilizer(auts, picked), out)
 
 
 def _classes_for_vertex_count(k: int) -> list[SimpletTypeKey]:
-    keys: set[SimpletTypeKey] = set()
-    for edges_enc in _connected_graph_classes(k):
-        auts = _automorphisms(k, edges_enc)
-        results: list[tuple[tuple[int, ...], ...]] = []
-        _fillings(k, list(edges_enc), 3, [], auts, results)
-        for extra in results:
-            simplices = list(edges_enc) + list(extra)
-            # The skeleton is already canonical, so minimizing over Aut(G)
-            # equals minimizing over all k! permutations.
-            keys.add(SimpletTypeKey(k, _min_encoding(auts, simplices)))
-    return sorted(keys)
+    masks: set[int] = set()
+    for edges in _connected_graph_classes(k):
+        auts = _stabilizer(_tables(k), edges)
+        results: list[int] = []
+        _fillings(k, 3, edges, auts, results)
+        # The skeleton is already canonical, so minimizing over Aut(G)
+        # equals minimizing over all k! permutations.
+        masks.update(_max_mask(auts, mask) for mask in results)
+    return sorted(_key(k, mask) for mask in masks)
 
 
 def generate_catalog(m: int) -> SimpletCatalog:
@@ -335,30 +311,21 @@ def generate_catalog(m: int) -> SimpletCatalog:
 
 
 class TypeClassifier:
-    """Maps simplets to catalog positions, memoizing by local structure.
+    """Maps simplets to catalog positions, memoizing on ``(k, simplex mask)``.
 
-    The cache key is the order-preserving local encoding of a simplet, so
-    repeated classification of structurally identical simplets skips the
-    permutation search.  Semantics match
+    Structurally identical simplets under the same vertex order share a mask,
+    so repeated classification skips the permutation search.  Semantics match
     ``catalog.index_of(canonical_key(simplet))`` exactly.
     """
 
     def __init__(self, catalog: SimpletCatalog):
         self.catalog = catalog
-        self._cache: dict[tuple[int, tuple[tuple[int, ...], ...]], int] = {}
+        self._cache: dict[tuple[int, int], int] = {}
 
     def index_of(self, simplet: Simplet) -> int:
-        local = {v: i for i, v in enumerate(simplet.vertices)}
-        raw = tuple(
-            sorted(
-                (tuple(local[v] for v in s) for s in simplet.simplices()),
-                key=_encoding_sort_key,
-            )
-        )
-        k = len(simplet.vertices)
-        cached = self._cache.get((k, raw))
-        if cached is not None:
-            return cached
-        index = self.catalog.index_of(canonical_form(k, raw))
-        self._cache[(k, raw)] = index
+        local = (len(simplet.vertices), simplet.mask())
+        index = self._cache.get(local)
+        if index is None:
+            index = self.catalog.index_of(canonical_key(simplet))
+            self._cache[local] = index
         return index

@@ -2,11 +2,13 @@
 
 A complex is represented by its maximal simplices (facets).  Downward closure
 then holds by construction: a vertex set spans a simplex exactly when it is a
-subset of some facet.
+subset of some facet.  :func:`simplex_layout` defines the local simplex mask,
+the one encoding of a simplet's simplices.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from collections import deque
 from dataclasses import dataclass, field
@@ -20,7 +22,9 @@ __all__ = [
     "Simplet",
     "DiameterEstimate",
     "build_complex",
+    "decode_mask",
     "induced_subcomplex",
+    "simplex_layout",
     "skeleton_diameter",
     "connected_components",
 ]
@@ -73,16 +77,6 @@ class SimplicialComplex:
                 raise InputError(f"vertex id {v} out of range [0, {self.vertex_count})")
         return vs
 
-    def contains_simplex(self, vertices: Iterable[int]) -> bool:
-        """True iff the vertex set spans a simplex, i.e. lies inside some facet."""
-        vs = self._check_vertices(vertices)
-        common = self._incidence[vs[0]]
-        for v in vs[1:]:
-            common = common & self._incidence[v]
-            if not common:
-                return False
-        return bool(common)
-
     def skeleton_connected_on(self, vertices: Iterable[int]) -> bool:
         """True iff the 1-skeleton induced on the given vertices is connected."""
         vs = set(vertices)
@@ -114,17 +108,55 @@ class Simplet:
     def __len__(self) -> int:
         return len(self.vertices)
 
+    def mask(self) -> int:
+        """The local simplex mask of the induced simplices of dimension >= 1.
+
+        Edges come from the adjacency; a larger subset is looked up in the
+        facet incidence only when all of its faces are present.
+        """
+        vs = self.vertices
+        adjacency = self.host.adjacency
+        incidence = self.host._incidence
+        layout = simplex_layout(len(vs))
+        edge_count = len(vs) * (len(vs) - 1) // 2
+        mask = 0
+        for (i, j), weight, _ in layout[:edge_count]:
+            if vs[j] in adjacency[vs[i]]:
+                mask |= weight
+        for members, weight, faces in layout[edge_count:]:
+            if mask & faces == faces and frozenset.intersection(
+                *[incidence[vs[i]] for i in members]
+            ):
+                mask |= weight
+        return mask
+
     def simplices(self) -> tuple[tuple[int, ...], ...]:
         """Induced simplices of dimension >= 1, sorted by (size, vertex tuple)."""
-        host = self.host
         vs = self.vertices
-        out = [(u, v) for u, v in combinations(vs, 2) if v in host.adjacency[u]]
-        for size in range(3, len(vs) + 1):
-            for sub in combinations(vs, size):
-                if host.contains_simplex(sub):
-                    out.append(sub)
-        out.sort(key=lambda s: (len(s), s))
-        return tuple(out)
+        return tuple(
+            tuple(vs[i] for i in s) for s in decode_mask(len(vs), self.mask())
+        )
+
+
+@functools.cache
+def simplex_layout(k: int) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+    """``(subset, weight, faces)`` for each subset of ``range(k)`` with >= 2 elements.
+
+    Subsets come in (size, tuple) order and the i-th of N weighs
+    ``2 ** (N - 1 - i)``; ``faces`` is the mask of its faces one size down
+    (0 for an edge).
+    """
+    subsets = [s for size in range(2, k + 1) for s in combinations(range(k), size)]
+    weight = {s: 1 << (len(subsets) - 1 - i) for i, s in enumerate(subsets)}
+    return tuple(
+        (s, weight[s], sum(weight.get(f, 0) for f in combinations(s, len(s) - 1)))
+        for s in subsets
+    )
+
+
+def decode_mask(k: int, mask: int) -> tuple[tuple[int, ...], ...]:
+    """The local simplices a k-vertex simplex mask holds, in (size, tuple) order."""
+    return tuple(s for s, weight, _ in simplex_layout(k) if mask & weight)
 
 
 class DiameterEstimate(NamedTuple):

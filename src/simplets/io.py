@@ -25,11 +25,17 @@ class ParsedFacets(NamedTuple):
 def _lines(source: str | Path | IO[str]) -> Iterable[str]:
     if isinstance(source, (str, Path)):
         try:
-            handle = open(source, "r", encoding="utf-8")
+            handle = open(source, "r", encoding="utf-8", errors="surrogateescape")
         except OSError as exc:
             raise InputError(f"cannot read facet file {source}: {exc}") from exc
         with handle:
-            yield from handle
+            for lineno, line in enumerate(handle, start=1):
+                # Undecodable bytes arrive as lone surrogates, which UTF-8 refuses to encode.
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise InputError(f"{source}: line {lineno} is not valid UTF-8") from None
+                yield line
     else:
         yield from source
 

@@ -75,6 +75,15 @@ def isomorphic(k: int, simplices_a, simplices_b) -> bool:
     return False
 
 
+def min_encoding(k: int, perms, simplices) -> tuple[tuple[int, ...], ...]:
+    """Minimum over ``perms`` of the relabeled simplex list sorted by (size, tuple)."""
+    def encode(perm):
+        relabeled = (tuple(sorted(perm[v] for v in s)) for s in simplices)
+        return tuple(sorted(relabeled, key=lambda s: (len(s), s)))
+
+    return min(encode(perm) for perm in perms)
+
+
 def local_simplices(complex_: SimplicialComplex, vertices) -> list[tuple[int, ...]]:
     relabel = {v: i for i, v in enumerate(sorted(vertices))}
     return [tuple(sorted(relabel[v] for v in s)) for s in induced_simplices(complex_, vertices)]

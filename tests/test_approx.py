@@ -19,7 +19,6 @@ from simplets import (
     linf_distance,
     required_samples,
     sfd_from_counts,
-    tv_distance,
 )
 
 
@@ -83,14 +82,11 @@ def test_empirical_sfd_rejects_empty(catalog3):
 def test_distances_reference_values():
     a = sfd_from_counts((3, 1), 2)
     assert linf_distance(a, a) == 0.0
-    assert tv_distance(a, a) == 0.0
     b = sfd_from_counts((1, 0), 2)
     c = sfd_from_counts((0, 1), 2)
     assert linf_distance(b, c) == 1.0
-    assert tv_distance(b, c) == 1.0
     d = sfd_from_counts((1, 1), 2)
     assert linf_distance(a, d) == pytest.approx(0.25)
-    assert tv_distance(a, d) == pytest.approx(0.25)
 
 
 def test_distances_reject_mismatched_m(catalog3, catalog4):
@@ -98,8 +94,6 @@ def test_distances_reject_mismatched_m(catalog3, catalog4):
     b = sfd_from_counts([1] * len(catalog4), 4)
     with pytest.raises(InputError):
         linf_distance(a, b)
-    with pytest.raises(InputError):
-        tv_distance(a, b)
 
 
 def test_approximate_sfd_deterministic(filled_triangle, catalog3):

@@ -1,5 +1,7 @@
+import hashlib
+import json
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -96,6 +98,39 @@ def test_relabeling_invariance_sampled_k6():
         checked += 1
 
 
+def random_downward_closed(rng, k):
+    """Random simplex set over ``range(k)``, filled level by level, not necessarily connected."""
+    present = [s for s in combinations(range(k), 2) if rng.random() < 0.6] or [(0, 1)]
+    for size in range(3, k + 1):
+        level = set(present)
+        present += [
+            c
+            for c in combinations(range(k), size)
+            if all(f in level for f in combinations(c, size - 1)) and rng.random() < 0.6
+        ]
+    return present
+
+
+def test_canonical_form_equals_tuple_sort_minimum():
+    # the largest mask must be the smallest (size, tuple)-sorted relabeling
+    rng = random.Random(43)
+    for k, sets, relabelings in ((3, 20, None), (4, 20, None), (5, 6, None), (6, 6, 6)):
+        perms = list(permutations(range(k)))
+        for _ in range(sets):
+            simplices = random_downward_closed(rng, k)
+            expected = oracles.min_encoding(k, perms, simplices)
+            sample = perms if relabelings is None else rng.sample(perms, relabelings)
+            for perm in sample:
+                key = canonical_form(k, relabeled(simplices, perm))
+                assert key.simplices == expected
+
+
+def test_catalog_m5_is_pinned():
+    obj = generate_catalog(5).to_json_obj()
+    digest = hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+    assert digest == "ecadbe3b961cf1269c7611ecc129387ca6628f35ad94f3668abd7a4baf6b17c2"
+
+
 def test_catalog_sizes(catalog3, catalog4):
     assert len(generate_catalog(2)) == 1
     assert len(catalog3) == 4
@@ -180,10 +215,8 @@ def test_classifier_matches_direct_canonicalization(catalog4):
             )
 
 
-@pytest.mark.slow
 def test_catalog_k5_matches_plain_labeled_enumeration(catalog5):
     """Exhaustive labeled enumeration, no automorphism shortcuts."""
-    from itertools import combinations
 
     def connected_spanning(edges, k):
         adj = {v: set() for v in range(k)}
@@ -232,7 +265,9 @@ def test_catalog_k5_matches_plain_labeled_enumeration(catalog5):
 @pytest.mark.slow
 def test_catalog_m6_generates():
     catalog6 = generate_catalog(6)
-    assert len(catalog6) > len(generate_catalog(5))
+    assert len(catalog6) == 16117
+    digest = hashlib.sha256(json.dumps(catalog6.to_json_obj()).encode()).hexdigest()
+    assert digest == "9f5460c252609dfc768d1559af3ec0d396624d258bf5d32e1ccda7aaec6f4fc2"
     assert len(set(catalog6.keys)) == len(catalog6.keys)
     rng = random.Random(41)
     for key in rng.sample([k for k in catalog6.keys if k.vertex_count == 6], 40):

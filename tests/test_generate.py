@@ -58,7 +58,7 @@ def test_lm_partial_fill_downward_closed():
         for facet in complex_.facets:
             for size in range(1, len(facet) + 1):
                 for sub in combinations(sorted(facet), size):
-                    assert complex_.contains_simplex(sub)
+                    assert oracles.subset_spans_simplex(complex_, sub)
         for a in complex_.facets:
             for b in complex_.facets:
                 assert a is b or not a <= b

@@ -37,6 +37,13 @@ def test_read_rejects_repeated_label_in_facet():
         read_facets(io.StringIO("a b a\n"))
 
 
+def test_read_rejects_non_utf8_file_naming_file_and_line(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("a b\nb c\n\u00e9 a\n".encode("latin-1"))
+    with pytest.raises(InputError, match=r"latin1\.txt: line 3 is not valid UTF-8"):
+        read_facets(path)
+
+
 def test_read_rejects_empty_input():
     with pytest.raises(InputError):
         read_facets(io.StringIO("# nothing here\n\n"))
