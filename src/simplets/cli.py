@@ -1,15 +1,19 @@
 """Command-line interface: catalog, exact SFD, approximate SFD, validation, generation, benchmarking.
 
 Exit codes: 0 success, 2 usage error, 3 malformed input, 4 structural error
-(disconnected or too-small complex), 5 internal integrity failure.
+(disconnected or too-small complex), 5 internal integrity failure.  A reader
+that closes standard output early (``simplets catalog --m 5 | head -1``) ends
+the output quietly: no traceback, nothing on stderr, exit code 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import math
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -145,8 +149,21 @@ def _sfd_json(sfd: SFDVector, catalog) -> dict:
     return obj
 
 
+def _write_stdout(text: str) -> None:
+    """Write ``text`` to stdout; a reader that closed the pipe ends it quietly."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull so that the interpreter's final flush of
+        # the unwritten rest cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _print_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
+    _write_stdout(json.dumps(obj, indent=2) + "\n")
 
 
 def cmd_catalog(args) -> int:
@@ -342,7 +359,9 @@ def cmd_gen(args) -> int:
     if args.largest_component:
         complex_, _kept = largest_connected_restriction(complex_)
     if args.output == "-":
-        write_facets(sys.stdout, complex_)
+        buffer = io.StringIO()
+        write_facets(buffer, complex_)
+        _write_stdout(buffer.getvalue())
     else:
         write_facets(args.output, complex_)
     return EXIT_OK
@@ -369,7 +388,7 @@ def cmd_bench(args) -> int:
         )
     text = "\n".join(rows) + "\n"
     if args.output == "-":
-        sys.stdout.write(text)
+        _write_stdout(text)
     else:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)

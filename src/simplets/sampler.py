@@ -5,13 +5,17 @@ sorted vertex tuples.  Moves add, remove, or swap one vertex while keeping
 the induced skeleton connected.  Transition probabilities are
 ``T(i, j) = min(1/d(i), 1/d(j))`` for neighboring states, with the residual
 mass on a self-loop, which makes ``T`` symmetric and doubly stochastic and
-hence the stationary distribution uniform over all states.  The walk expands
-each state once, into its degree and its move segments, and reuses that
-expansion both to weigh a proposal and to move from it once accepted.
+hence the stationary distribution uniform over all states.  One pass over a
+state's adjacency gives each outside vertex its attach mask, the positions it
+touches (the GUISE kernel of Bhuiyan et al., ICDM 2012); the degree is then a
+sum of lookups in a move table memoised per induced shape.  Only the walk's
+current state is decoded into moves.  The sampler memoises the degrees of
+proposed states, and the expansions of those among them the walk enters.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -31,8 +35,7 @@ __all__ = [
 
 State = tuple[int, ...]
 
-# The degree and move segments of a state are memoized together, for at most
-# this many states; states seen after the cache fills are expanded on every visit.
+# The degrees of at most this many proposed states are memoised.
 _CACHE_CAP = 20_000
 
 
@@ -59,101 +62,92 @@ class WalkConfig:
             raise InputError("c_mix must be positive")
 
 
-def _components(adj: Sequence[frozenset[int]], vertices: Sequence[int]) -> list[set[int]]:
-    """Connected components of the skeleton induced on a small vertex set."""
-    size = len(vertices)
-    if size == 1:
-        return [{vertices[0]}]
-    if size == 2:
-        a, b = vertices
-        return [{a, b}] if b in adj[a] else [{a}, {b}]
-    remaining = set(vertices)
-    comps: list[set[int]] = []
-    while remaining:
-        start = remaining.pop()
-        comp = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            hits = adj[x] & remaining
-            if hits:
-                remaining -= hits
-                comp |= hits
-                stack.extend(hits)
-        comps.append(comp)
-    return comps
+# Swap counts are packed one _FIELD-bit field per position, so that one C-level
+# sum counts every position's swaps; that sum modulo _FIELD_MASK is their total.
+_FIELD = 32
+_FIELD_MASK = (1 << _FIELD) - 1
 
 
-def _expand(adj: Sequence[frozenset[int]], state: State, m: int) -> tuple[int, list[tuple]]:
-    """Degree and move segments of a state.
+class _MoveTable(dict):
+    """The moves of one shape ``nb``, a state's induced neighbour masks by
+    position.  ``removable`` lists the positions whose removal keeps the state
+    connected, ``parts[u]`` the component masks of the state without u.  A
+    vertex with attach mask a can replace u when a meets every part of
+    ``parts[u]``; ``swap`` maps a to those positions and the table maps it to
+    them as packed fields, both filled on first lookup."""
 
-    Returns ``(degree, segments)`` where segments is a list of
-    ``("add", [v, ...])``, ``("remove", [u, ...])`` and ``("swap", u, [v, ...])``
-    entries in that order, and ``degree`` is the number of moves they hold.
-    """
-    k = len(state)
-    sset = set(state)
-    degree = 0
-    segments: list[tuple] = []
-    union = set().union
+    __slots__ = ("removable", "parts", "swap")
 
-    if k < m:
-        adds = union(*(adj[v] for v in state)) - sset
-        if adds:
-            degree += len(adds)
-            segments.append(("add", sorted(adds)))
+    def __init__(self, nb: tuple[int, ...]):
+        super().__init__()
+        k = len(nb)
+        self.parts, self.swap = [], {}
+        for u in range(k):
+            rest, parts = ((1 << k) - 1) ^ (1 << u), []
+            while rest:
+                part, grown = 0, rest & -rest
+                while grown != part:
+                    part = grown
+                    for i in range(k):
+                        if part >> i & 1:
+                            grown |= nb[i] & rest
+                parts.append(part)
+                rest ^= part
+            self.parts.append(parts)
+        self.removable = [u for u, parts in enumerate(self.parts) if len(parts) == 1 and k > 2]
 
-    removable: list[int] = []
-    swap_entries: list[tuple[int, list[int]]] = []
-    for u in state:
-        rest = [x for x in state if x != u]
-        comps = _components(adj, rest)
-        if len(comps) == 1:
-            if k > 2:
-                removable.append(u)
-            cand = union(*(adj[x] for x in rest)) - sset
-        else:
-            # A replacement vertex must neighbor every component of the
-            # remainder, i.e. lie in the intersection of their neighborhoods.
-            cand = union(*(adj[x] for x in comps[0]))
-            for comp in comps[1:]:
-                cand &= union(*(adj[x] for x in comp))
-                if not cand:
-                    break
-            cand -= sset
-        if cand:
-            degree += len(cand)
-            swap_entries.append((u, sorted(cand)))
-    if removable:
-        degree += len(removable)
-        segments.append(("remove", removable))
-    segments.extend(("swap", u, vs) for u, vs in swap_entries)
-    return degree, segments
+    def __missing__(self, attach: int) -> int:
+        swap = packed = 0
+        for u, parts in enumerate(self.parts):
+            if all(part & attach for part in parts):
+                swap |= 1 << u
+                packed |= 1 << (_FIELD * u)
+        self.swap[attach] = swap
+        self[attach] = packed
+        return packed
 
 
-def _neighbor(state: State, segments: list[tuple], index: int) -> State:
-    """The ``index``-th move of ``state``, counting through its segments in order."""
-    for seg in segments:
-        kind = seg[0]
-        if kind == "add":
-            vs = seg[1]
-            if index < len(vs):
-                return tuple(sorted(state + (vs[index],)))
-            index -= len(vs)
-        elif kind == "remove":
-            us = seg[1]
-            if index < len(us):
-                u = us[index]
-                return tuple(x for x in state if x != u)
-            index -= len(us)
-        else:
-            _, u, vs = seg
-            if index < len(vs):
-                rest = [x for x in state if x != u]
-                rest.append(vs[index])
-                rest.sort()
-                return tuple(rest)
-            index -= len(vs)
+# One table per shape; fewer than 28k connected shapes have at most 6 positions.
+_moves_table = functools.cache(_MoveTable)
+
+
+def _expand(adj: Sequence[frozenset[int]], state: State, m: int) -> tuple:
+    """``(degree, adds, attach, table, swaps, picks)`` of a state: ``attach`` maps
+    each outside neighbour to its attach mask, all of which may be added below
+    m vertices (``adds``), ``swaps`` packs the swap count of every position, and
+    ``picks`` keeps each position's sorted replacements once decoded."""
+    attach: dict[int, int] = {}
+    bit = 1
+    for v in state:
+        for w in adj[v]:
+            attach[w] = attach.get(w, 0) | bit
+        bit <<= 1
+    table = _moves_table(tuple(map(attach.pop, state)))
+    adds = len(attach) if len(state) < m else 0
+    swaps = sum(map(table.__getitem__, attach.values()))
+    return adds + len(table.removable) + swaps % _FIELD_MASK, adds, attach, table, swaps, {}
+
+
+def _neighbor(state: State, expansion: tuple, index: int) -> State:
+    """The ``index``-th move of ``state``: adds by vertex, then removals by
+    position, then swaps by position and then by replacing vertex."""
+    _degree, adds, attach, table, swaps, picks = expansion
+    if index < adds:
+        return tuple(sorted(state + (sorted(attach)[index],)))
+    index -= adds
+    removable = table.removable
+    if index < len(removable):
+        u = removable[index]
+        return state[:u] + state[u + 1:]
+    index -= len(removable)
+    swap = table.swap
+    for u in range(len(state)):
+        count = swaps >> (_FIELD * u) & _FIELD_MASK
+        if index < count:
+            if u not in picks:
+                picks[u] = sorted([w for w, a in attach.items() if swap[a] >> u & 1])
+            return tuple(sorted(state[:u] + state[u + 1:] + (picks[u][index],)))
+        index -= count
     raise IntegrityError("neighbor index out of range; degree bookkeeping is broken")
 
 
@@ -176,8 +170,8 @@ def state_neighbors(
 
     These are exactly the proposals of the walk: one per move index."""
     s = _walk_state(complex_, state, m)
-    degree, segments = _expand(complex_.adjacency, s, m)
-    return sorted(_neighbor(s, segments, i) for i in range(degree))
+    expansion = _expand(complex_.adjacency, s, m)
+    return sorted(_neighbor(s, expansion, i) for i in range(expansion[0]))
 
 
 def state_degree(complex_: SimplicialComplex, state: Sequence[int], m: int) -> int:
@@ -222,31 +216,36 @@ class SimpletSampler:
         self._rng = random.Random(config.rng_seed)
         self._adj = complex_.adjacency
         self._edges = complex_.edges()
-        self._degree_cache: dict[State, tuple[int, list[tuple]]] = {}
+        self._degree_cache: dict[State, int] = {}
+        self._expansions: dict[State, tuple] = {}
         self._current: State | None = None
-        self._info: tuple[int, list[tuple]] | None = None
+        self._info: tuple | None = None
         self.steps_taken = 0
 
-    def _expansion(self, state: State) -> tuple[int, list[tuple]]:
-        info = self._degree_cache.get(state)
-        if info is None:
+    def _weigh(self, state: State) -> tuple[int, tuple | None]:
+        """The degree of ``state``, and its expansion unless only the degree is memoised."""
+        info = self._expansions.get(state)
+        degree = info[0] if info else self._degree_cache.get(state)
+        if degree is None:
             info = _expand(self._adj, state, self.config.m)
+            degree = info[0]
             if len(self._degree_cache) < _CACHE_CAP:
-                self._degree_cache[state] = info
-        return info
+                self._degree_cache[state] = degree
+        return degree, info
 
     def _degree(self, state: State) -> int:
-        return self._expansion(state)[0]
+        return self._weigh(state)[0]
 
     def _step(self) -> None:
-        d_s, segments = self._info
+        d_s = self._info[0]
         if d_s == 0:
             raise IntegrityError("reached a sink state; impossible for a connected host")
         rng = self._rng
-        proposal = _neighbor(self._current, segments, rng.randrange(d_s))
-        info = self._expansion(proposal)
-        d_j = info[0]
+        proposal = _neighbor(self._current, self._info, rng.randrange(d_s))
+        d_j, info = self._weigh(proposal)
         if d_j <= d_s or rng.random() < d_s / d_j:
+            if info is None:  # kept for the memo's states that the walk enters
+                info = self._expansions[proposal] = _expand(self._adj, proposal, self.config.m)
             self._current = proposal
             self._info = info
         self.steps_taken += 1
@@ -256,7 +255,7 @@ class SimpletSampler:
         a fresh chain from a uniform edge, walked for the burn-in length."""
         edge = self._edges[self._rng.randrange(len(self._edges))]
         self._current = edge
-        self._info = self._expansion(edge)
+        self._info = self._expansions.get(edge) or _expand(self._adj, edge, self.config.m)
         for _ in range(self.burn_in):
             self._step()
         return Simplet(self.complex, self._current)
@@ -277,10 +276,10 @@ def transition_matrix(complex_: SimplicialComplex, m: int):
     count = len(states)
     matrix = np.zeros((count, count))
     expansions = [_expand(complex_.adjacency, s, m) for s in states]
-    for i, (s, (degree, segments)) in enumerate(zip(states, expansions)):
-        for index in range(degree):
-            j = position[_neighbor(s, segments, index)]
-            matrix[i, j] = min(1.0 / degree, 1.0 / expansions[j][0])
+    for i, (s, expansion) in enumerate(zip(states, expansions)):
+        for index in range(expansion[0]):
+            j = position[_neighbor(s, expansion, index)]
+            matrix[i, j] = min(1.0 / expansion[0], 1.0 / expansions[j][0])
         # the true residual is >= 0; clamp the float rounding of exact zeros
         matrix[i, i] = max(0.0, 1.0 - matrix[i].sum())
     return states, matrix

@@ -173,3 +173,55 @@ def iso_class_count(k: int) -> int:
         if skeleton_connected(k, edges):
             fill(edges, 3, list(edges))
     return len(reps)
+
+
+def _components_on(adj, vertices) -> list[set[int]]:
+    """Connected components of the skeleton induced on ``vertices``, by BFS."""
+    remaining = set(vertices)
+    comps = []
+    while remaining:
+        comp = {remaining.pop()}
+        frontier = list(comp)
+        while frontier:
+            hits = adj[frontier.pop()] & remaining
+            remaining -= hits
+            comp |= hits
+            frontier.extend(hits)
+        comps.append(comp)
+    return comps
+
+
+def segment_moves(adj, state, m) -> list[tuple[int, ...]]:
+    """The walk's proposals from ``state`` in move-index order: adds by vertex,
+    removals in state order, then swaps by removed vertex (in state order)
+    and then by added vertex.  A replacement must neighbour every component
+    of the state without the removed vertex."""
+    sset = set(state)
+    moves = []
+    if len(state) < m:
+        adds = set().union(*(adj[v] for v in state)) - sset
+        moves += [tuple(sorted(sset | {w})) for w in sorted(adds)]
+    swaps = []
+    for u in state:
+        rest = [x for x in state if x != u]
+        comps = _components_on(adj, rest)
+        if len(comps) == 1 and len(state) > 2:
+            moves.append(tuple(rest))
+        cand = set.intersection(*(set().union(*(adj[x] for x in c)) for c in comps)) - sset
+        swaps += [tuple(sorted(rest + [w])) for w in sorted(cand)]
+    return moves + swaps
+
+
+def bit_connected(nb, mask) -> bool:
+    """Whether the positions in ``mask`` are connected under the neighbour
+    masks ``nb`` (bit j of ``nb[i]`` set when i and j are adjacent)."""
+    if not mask:
+        return False
+    seen = mask & -mask
+    frontier = [seen.bit_length() - 1]
+    while frontier:
+        i = frontier.pop()
+        new = nb[i] & mask & ~seen
+        seen |= new
+        frontier += [j for j in range(len(nb)) if new >> j & 1]
+    return seen == mask

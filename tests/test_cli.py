@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -222,3 +226,19 @@ def test_bench_usage_errors():
     with pytest.raises(SystemExit) as excinfo:
         main(["bench", "--sizes", "abc", "--avg-degree", "4", "--m", "3"])
     assert excinfo.value.code == 2
+
+
+def test_closed_stdout_ends_output_quietly():
+    # The m=5 catalog (about 90 kB) outgrows a pipe buffer, so the writer is
+    # still writing when the reader closes the pipe after its first line.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "simplets", "catalog", "--m", "5"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"[\n"
+    proc.stdout.close()
+    _, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == 0
+    assert stderr == b""

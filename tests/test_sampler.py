@@ -25,6 +25,7 @@ from simplets import (
 )
 from simplets import sampler as sampler_module
 
+from . import oracles
 from .conftest import random_complexes
 
 
@@ -256,22 +257,114 @@ def test_caches_stay_within_cap_without_changing_the_stream(monkeypatch):
     capped = SimpletSampler(complex_, config)
     assert [capped.sample().vertices for _ in range(30)] == expected
     assert len(capped._degree_cache) <= 50
+    assert len(capped._expansions) <= 50
 
 
-def test_each_state_is_expanded_once_while_the_cache_has_room(monkeypatch):
-    calls = []
-    expand = sampler_module._expand
+def test_expansions_are_memo_misses_and_entered_memo_hits(monkeypatch):
+    # The memo keeps degrees: a proposal is expanded when its degree is not
+    # memoised yet, and a memoised one again when the walk first enters it,
+    # which keeps that expansion for later visits and chain starts.
+    expansions, currents, proposals = [], [], []
+    expand, neighbor = sampler_module._expand, sampler_module._neighbor
 
-    def counted(adj, state, m):
-        calls.append(state)
+    def counted_expand(adj, state, m):
+        expansions.append(state)
         return expand(adj, state, m)
 
-    monkeypatch.setattr(sampler_module, "_expand", counted)
-    sampler = SimpletSampler(_flag40(), WalkConfig(m=4, burn_in=300, rng_seed=5))
+    def recorded_neighbor(state, expansion, index):
+        currents.append(state)
+        proposals.append(neighbor(state, expansion, index))
+        return proposals[-1]
+
+    monkeypatch.setattr(sampler_module, "_expand", counted_expand)
+    monkeypatch.setattr(sampler_module, "_neighbor", recorded_neighbor)
+    complex_ = _flag40()
+    sampler = SimpletSampler(complex_, WalkConfig(m=4, burn_in=300, rng_seed=5))
+    step, seen, entered, tally = sampler._step, set(), set(), Counter()
+
+    def observed_step():
+        step()
+        proposal = proposals[-1]
+        if proposal not in seen:
+            seen.add(proposal)
+            tally["miss"] += 1
+        elif sampler._current == proposal:
+            tally["accepted hit"] += 1
+            entered.add(proposal)
+
+    sampler._step = observed_step
+    fresh_starts = 0
     for _ in range(30):
+        kept, first = set(entered), len(proposals)
         sampler.sample()
+        fresh_starts += currents[first] not in kept
     assert len(sampler._degree_cache) < sampler_module._CACHE_CAP
-    assert len(calls) == len(sampler._degree_cache)
+    assert tally["accepted hit"] > len(entered) > 0
+    # one expansion per chain start without a kept one, per memo miss and
+    # per memo hit entered
+    assert len(expansions) == fresh_starts + tally["miss"] + len(entered)
+    assert 0 < fresh_starts < 30  # both kinds of chain start occur
+    assert set(sampler._degree_cache) == seen
+    assert set(sampler._expansions) == entered
+    assert all(type(degree) is int for degree in sampler._degree_cache.values())
+    for state in sorted(seen)[:50]:
+        assert sampler._degree_cache[state] == state_degree(complex_, state, 4)
+
+
+@pytest.mark.parametrize("model", ["flag", "lm"])
+def test_move_order_matches_the_segment_oracle(model):
+    # The seeded stream depends on the order of the moves, not only on their
+    # set: the kernel must decode move indices exactly as the segment oracle
+    # orders its proposals.
+    spec = GenSpec(model, 60 if model == "flag" else 30, 0.1 if model == "flag" else 0.25,
+                   0.7, 0.7, seed=2)
+    complex_ = largest_connected_restriction(generate(spec)).complex
+    adj = complex_.adjacency
+    rng = random.Random(11)
+    for m in range(3, 7):
+        for _ in range(150):
+            state = [rng.randrange(complex_.vertex_count)]
+            for _ in range(rng.randint(1, m - 1)):
+                state.append(rng.choice(sorted(set().union(*(adj[v] for v in state)) - set(state))))
+            state = tuple(sorted(state))
+            expansion = sampler_module._expand(adj, state, m)
+            moves = [sampler_module._neighbor(state, expansion, i) for i in range(expansion[0])]
+            assert moves == oracles.segment_moves(adj, state, m), (state, m)
+
+
+def test_move_table_matches_brute_force_connectivity():
+    # Every connected labelled graph on k = 2..5 positions and every nonzero
+    # attach mask: removable positions and swap positions by exhaustive check.
+    for k in range(2, 6):
+        pairs = list(combinations(range(k), 2))
+        full = (1 << k) - 1
+        for edges in range(1 << len(pairs)):
+            nb = [0] * k
+            for bit, (i, j) in enumerate(pairs):
+                if edges >> bit & 1:
+                    nb[i] |= 1 << j
+                    nb[j] |= 1 << i
+            if not oracles.bit_connected(nb, full):
+                continue
+            table = sampler_module._moves_table(tuple(nb))
+            rest = [full & ~(1 << u) for u in range(k)]
+            assert table.removable == [
+                u for u in range(k) if k > 2 and oracles.bit_connected(nb, rest[u])
+            ]
+            for attach in range(1, full + 1):
+                # w joins the state as position k; it may replace u when the
+                # state without u, with w added, is connected.
+                grown = nb + [attach]
+                for i in range(k):
+                    if attach >> i & 1:
+                        grown[i] = nb[i] | 1 << k
+                expected = sum(
+                    1 << u for u in range(k)
+                    if oracles.bit_connected(grown, rest[u] | 1 << k)
+                )
+                packed = table[attach]
+                assert table.swap[attach] == expected, (nb, attach)
+                assert packed % sampler_module._FIELD_MASK == expected.bit_count()
 
 
 @pytest.mark.parametrize("state", [(0, 9), (1,), (0, 2), (0, 1, 2, 3), (1, 1, 2)])
