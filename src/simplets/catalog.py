@@ -7,11 +7,18 @@ vertex tuple), so the edge part of an encoding always precedes the
 higher-dimensional part.  Relabelings keep the number of simplices of each
 size, so that minimum is the relabeling with the largest simplex mask
 (``complexes.simplex_layout``), and every search here runs on masks.
+
+The catalog for m <= 6 is committed as package data (``catalog_masks.txt``)
+and ``generate_catalog`` reads it.  The generator below is the reference it
+was made by; regenerate the file (about 25 s) with::
+
+    PYTHONPATH=src python -c 'from simplets import catalog; catalog._write_catalog_data()'
 """
 
 from __future__ import annotations
 
 import heapq
+import os
 from dataclasses import dataclass, field
 from itertools import permutations, product
 from typing import Iterable, Iterator, Sequence
@@ -29,6 +36,11 @@ __all__ = [
 ]
 
 MAX_CATALOG_VERTICES = 6
+
+# One ``k hexmask`` line per type in catalog order; the mask is under
+# ``simplex_layout(k)``.  ``_CATALOG_SIZES[m]`` is the size of the m catalog.
+_CATALOG_DATA = os.path.join(os.path.dirname(__file__), "catalog_masks.txt")
+_CATALOG_SIZES = {2: 1, 3: 4, 4: 18, 5: 175, 6: 16117}
 
 _TABLES: dict[int, tuple[tuple[int, ...], ...]] = {}
 
@@ -295,18 +307,52 @@ def _classes_for_vertex_count(k: int) -> list[SimpletTypeKey]:
     return sorted(_key(k, mask) for mask in masks)
 
 
+def _generate_catalog(m: int) -> SimpletCatalog:
+    """The reference generator behind the committed catalog data."""
+    keys: list[SimpletTypeKey] = []
+    for k in range(2, m + 1):
+        keys.extend(_classes_for_vertex_count(k))
+    return SimpletCatalog(m, tuple(keys))
+
+
+def _write_catalog_data() -> None:
+    """Regenerate the committed catalog data from the reference generator."""
+    catalog = _generate_catalog(MAX_CATALOG_VERTICES)
+    weights = {k: {s: w for s, w, _ in simplex_layout(k)} for k in range(2, catalog.m + 1)}
+    with open(_CATALOG_DATA, "w", encoding="ascii") as out:
+        for key in catalog.keys:
+            mask = sum(weights[key.vertex_count][s] for s in key.simplices)
+            out.write(f"{key.vertex_count} {mask:x}\n")
+
+
 def generate_catalog(m: int) -> SimpletCatalog:
     """The ordered catalog of every simplet type with 2..m vertices.
 
     Types are ordered by vertex count, then lexicographically on their
-    canonical simplex encodings.  ``m`` must lie in [2, 6]; generation for
-    m = 6 is exhaustive and takes considerably longer than smaller sizes.
+    canonical simplex encodings.  ``m`` must lie in [2, 6].  The types are
+    read from the committed catalog data; a missing or incomplete file
+    raises ``IntegrityError``.
     """
     if not (2 <= m <= MAX_CATALOG_VERTICES):
         raise InputError(f"catalog supports 2 <= m <= {MAX_CATALOG_VERTICES}, got {m}")
+    sizes: dict[int, int] = {}
     keys: list[SimpletTypeKey] = []
-    for k in range(2, m + 1):
-        keys.extend(_classes_for_vertex_count(k))
+    try:
+        with open(_CATALOG_DATA, encoding="ascii") as data:
+            for line in data:
+                k_text, mask_text = line.split()
+                k = int(k_text)
+                if k > m:
+                    break
+                keys.append(_key(k, int(mask_text, 16)))
+                sizes[k] = len(keys)
+    except (OSError, ValueError) as exc:
+        raise IntegrityError(f"catalog data {_CATALOG_DATA} is unreadable: {exc!r}") from None
+    expected = {k: _CATALOG_SIZES[k] for k in range(2, m + 1)}
+    if sizes != expected:
+        raise IntegrityError(
+            f"catalog data {_CATALOG_DATA} gives catalog sizes {sizes} by m, expected {expected}"
+        )
     return SimpletCatalog(m, tuple(keys))
 
 

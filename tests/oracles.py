@@ -89,9 +89,26 @@ def local_simplices(complex_: SimplicialComplex, vertices) -> list[tuple[int, ..
     return [tuple(sorted(relabel[v] for v in s)) for s in induced_simplices(complex_, vertices)]
 
 
+def vertex_profile(k: int, simplices) -> tuple[tuple[int, ...], ...]:
+    """Relabeling invariant: each vertex's count of simplices per size, sorted."""
+    counts = [[0] * (k - 1) for _ in range(k)]
+    for s in simplices:
+        for v in s:
+            counts[v][len(s) - 2] += 1
+    return tuple(sorted(map(tuple, counts)))
+
+
 def classify_counts(complex_: SimplicialComplex, catalog) -> list[int]:
-    """Per-type counts via the all-subsets scan and permutation-search matching."""
+    """Per-type counts via the all-subsets scan and permutation-search matching.
+
+    Only catalog types with the subset's ``vertex_profile`` can be isomorphic
+    to it, so the permutation search runs on those alone.
+    """
     counts = [0] * len(catalog.keys)
+    by_profile: dict[tuple, list[int]] = {}
+    for i, key in enumerate(catalog.keys):
+        k = key.vertex_count
+        by_profile.setdefault((k, vertex_profile(k, key.simplices)), []).append(i)
     cache: dict[tuple, int] = {}
     for sub in all_connected_subsets(complex_, catalog.m):
         k = len(sub)
@@ -100,8 +117,8 @@ def classify_counts(complex_: SimplicialComplex, catalog) -> list[int]:
         if index is None:
             matches = [
                 i
-                for i, key in enumerate(catalog.keys)
-                if key.vertex_count == k and isomorphic(k, key.simplices, local)
+                for i in by_profile.get((k, vertex_profile(k, local)), [])
+                if isomorphic(k, catalog.keys[i].simplices, local)
             ]
             assert len(matches) == 1, f"expected exactly one matching type, got {matches}"
             index = matches[0]

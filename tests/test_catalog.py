@@ -16,6 +16,9 @@ from simplets import (
     induced_subcomplex,
 )
 
+from simplets import catalog as catalog_module
+from simplets.cli import main
+
 from . import oracles
 
 
@@ -262,8 +265,12 @@ def test_catalog_k5_matches_plain_labeled_enumeration(catalog5):
     assert seen_keys == {key for key in catalog5.keys if key.vertex_count == 5}
 
 
-@pytest.mark.slow
-def test_catalog_m6_generates():
+def test_catalog_data_equals_generator():
+    for m in range(2, 6):
+        assert generate_catalog(m).keys == catalog_module._generate_catalog(m).keys
+
+
+def test_catalog_m6_is_pinned():
     catalog6 = generate_catalog(6)
     assert len(catalog6) == 16117
     digest = hashlib.sha256(json.dumps(catalog6.to_json_obj()).encode()).hexdigest()
@@ -274,3 +281,30 @@ def test_catalog_m6_generates():
         assert oracles.downward_closed(6, key.simplices)
         assert oracles.skeleton_connected(6, key.simplices)
         assert canonical_form(6, key.simplices) == key
+
+
+def test_damaged_catalog_data_is_rejected(tmp_path, monkeypatch, capsys):
+    with open(catalog_module._CATALOG_DATA, encoding="ascii") as data:
+        lines = data.readlines()
+    truncated = tmp_path / "truncated.txt"
+    truncated.write_text("".join(lines[:-1]), encoding="ascii")
+    monkeypatch.setattr(catalog_module, "_CATALOG_DATA", str(truncated))
+    assert len(generate_catalog(5)) == 175  # the lines of k <= 5 are intact
+    with pytest.raises(IntegrityError):
+        generate_catalog(6)
+    truncated.write_text("".join(lines[:100]), encoding="ascii")
+    with pytest.raises(IntegrityError):
+        generate_catalog(5)
+    monkeypatch.setattr(catalog_module, "_CATALOG_DATA", str(tmp_path / "missing.txt"))
+    with pytest.raises(IntegrityError):
+        generate_catalog(3)
+    assert main(["catalog", "--m", "3"]) == 5
+    assert "catalog data" in capsys.readouterr().err
+
+
+@pytest.mark.slow
+def test_catalog_m6_generates():
+    assert catalog_module._generate_catalog(6).keys == generate_catalog(6).keys, (
+        "the catalog data differs from the generator; regenerate it with "
+        "PYTHONPATH=src python -c 'from simplets import catalog; catalog._write_catalog_data()'"
+    )

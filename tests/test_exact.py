@@ -4,11 +4,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from simplets import (
+    GenSpec,
     InputError,
     StructuralError,
     build_complex,
     enumerate_connected_subsets,
     exact_counts,
+    generate,
+    generate_catalog,
     sfd_from_counts,
 )
 
@@ -76,18 +79,29 @@ def test_exact_counts_no_edges(catalog4):
         exact_counts(build_complex([{0}, {1}], 2), catalog4)
 
 
-def test_exact_counts_match_naive_oracle(catalog3, catalog4):
-    for complex_ in random_complexes(12, max_n=10, seed=201):
-        for catalog in (catalog3, catalog4):
+def test_exact_counts_match_naive_oracle(catalog3, catalog4, catalog5):
+    # lm complexes dense enough to hold filled and hollow tetrahedra
+    tetrahedral = [
+        generate(GenSpec("lm", n, 0.7, p_tri=0.9, p_tet=0.6, seed=210 + i))
+        for i, n in enumerate((8, 9, 7, 7))
+    ]
+    assert all(any(len(f) == 4 for f in complex_.facets) for complex_ in tetrahedral)
+    for complex_ in random_complexes(12, max_n=10, seed=201) + tetrahedral[:2]:
+        for catalog in (catalog3, catalog4, catalog5):
             assert list(exact_counts(complex_, catalog).counts) == (
                 oracles.classify_counts(complex_, catalog)
             )
+    catalog6 = generate_catalog(6)
+    for complex_ in random_complexes(3, max_n=7, seed=204, min_n=6) + tetrahedral[2:]:
+        assert list(exact_counts(complex_, catalog6).counts) == (
+            oracles.classify_counts(complex_, catalog6)
+        )
 
 
-def test_exact_counts_permutation_invariant(catalog4):
+def test_exact_counts_permutation_invariant(catalog5):
     rng = random.Random(5)
     for complex_ in random_complexes(10, max_n=10, seed=202):
-        base = exact_counts(complex_, catalog4).counts
+        base = exact_counts(complex_, catalog5).counts
         n = complex_.vertex_count
         for _ in range(10):
             perm = list(range(n))
@@ -95,7 +109,7 @@ def test_exact_counts_permutation_invariant(catalog4):
             relabeled = build_complex(
                 [{perm[v] for v in f} for f in complex_.facets], n
             )
-            assert exact_counts(relabeled, catalog4).counts == base
+            assert exact_counts(relabeled, catalog5).counts == base
 
 
 def test_total_count_monotone_under_facet_addition(catalog4):
