@@ -16,7 +16,7 @@ from .catalog import SimpletCatalog, TypeClassifier
 from .complexes import Simplet, SimplicialComplex
 from .errors import InputError
 from .exact import SFDVector, sfd_from_counts
-from .sampler import SimpletSampler, WalkConfig
+from .sampler import SimpletSampler, WalkConfig, _check_positive
 
 __all__ = [
     "DEFAULT_VC_CONSTANT",
@@ -37,7 +37,9 @@ _VC_DIMENSION = 1  # the type sets partition the domain
 
 @dataclass(frozen=True)
 class ApproxParams:
-    """Accuracy/confidence targets plus the walk configuration."""
+    """Accuracy/confidence targets plus the walk configuration.
+
+    ``required_samples`` validates the targets and ``c``."""
 
     epsilon: float
     delta: float
@@ -45,21 +47,21 @@ class ApproxParams:
     walk: WalkConfig = field(default_factory=lambda: WalkConfig(m=4))
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.epsilon < 1.0):
-            raise InputError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if not (0.0 < self.delta < 1.0):
-            raise InputError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.c <= 0:
-            raise InputError("c must be positive")
+        required_samples(self.epsilon, self.delta, self.c)
 
 
 def required_samples(epsilon: float, delta: float, c: float = DEFAULT_VC_CONSTANT) -> int:
     """Samples sufficient for an (epsilon, delta)-approximation of the SFD vector."""
-    if not (0.0 < epsilon < 1.0) or not (0.0 < delta < 1.0):
-        raise InputError("epsilon and delta must lie in (0, 1)")
-    if c <= 0:
-        raise InputError("c must be positive")
-    return math.ceil(c / (epsilon * epsilon) * (_VC_DIMENSION + math.log(1.0 / delta)))
+    if not (0.0 < epsilon < 1.0):
+        raise InputError(f"epsilon must lie in (0, 1), got {epsilon}")
+    if not (0.0 < delta < 1.0):
+        raise InputError(f"delta must lie in (0, 1), got {delta}")
+    _check_positive("c", c)
+    square = epsilon * epsilon
+    raw = c / square * (_VC_DIMENSION + math.log(1.0 / delta)) if square else math.inf
+    if not math.isfinite(raw):
+        raise InputError(f"epsilon={epsilon}, delta={delta} and c={c} give no finite sample bound")
+    return math.ceil(raw)
 
 
 def empirical_sfd(samples: Sequence[Simplet], catalog: SimpletCatalog) -> SFDVector:

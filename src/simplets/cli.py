@@ -57,8 +57,8 @@ def _open_unit(text: str) -> float:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text}")
+    if not (0.0 < value < math.inf):
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text}")
     return value
 
 
@@ -316,12 +316,13 @@ def cmd_validate(args) -> int:
         for trial in range(args.trials)
     ]
     t0 = time.perf_counter()
-    if args.threads > 1:
+    workers = min(args.threads, args.trials)  # the pool starts every worker at once
+    if workers > 1:
         # Imported here: loading the pool module adds about 20 ms to every command.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
-            errors = list(pool.map(_run_trial, jobs, chunksize=max(1, args.trials // (4 * args.threads))))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            errors = list(pool.map(_run_trial, jobs, chunksize=max(1, args.trials // (4 * workers))))
     else:
         errors = [_run_trial(job) for job in jobs]
     sampling_seconds = time.perf_counter() - t0

@@ -9,8 +9,9 @@ hence the stationary distribution uniform over all states.  One pass over a
 state's adjacency gives each outside vertex its attach mask, the positions it
 touches (the GUISE kernel of Bhuiyan et al., ICDM 2012); the degree is then a
 sum of lookups in a move table memoised per induced shape.  Only the walk's
-current state is decoded into moves.  The sampler memoises the degrees of
-proposed states, and the expansions of those among them the walk enters.
+current state is decoded into moves.  ``SimpletSampler.sample`` is the walk's
+one loop.  Its one memo maps each proposed state to its degree, and replaces
+that by the state's expansion when the walk enters it.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ import functools
 import math
 import random
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import and_
 from typing import Sequence
 
 from .complexes import Simplet, SimplicialComplex, skeleton_diameter
@@ -35,8 +38,14 @@ __all__ = [
 
 State = tuple[int, ...]
 
-# The degrees of at most this many proposed states are memoised.
+# The sampler's memo holds at most this many states.
 _CACHE_CAP = 20_000
+
+
+def _check_positive(name: str, value: float) -> None:
+    """InputError unless ``value`` is a finite positive number."""
+    if not (0 < value < math.inf):
+        raise InputError(f"{name} must be a finite positive number, got {value}")
 
 
 @dataclass(frozen=True)
@@ -56,16 +65,17 @@ class WalkConfig:
     def __post_init__(self) -> None:
         if self.m < 3:
             raise InputError(f"the sampler requires m >= 3, got m={self.m}")
-        if self.burn_in is not None and self.burn_in < 1:
-            raise InputError("burn_in must be a positive integer")
-        if self.c_mix <= 0:
-            raise InputError("c_mix must be positive")
+        if self.burn_in is not None and (type(self.burn_in) is not int or self.burn_in < 1):
+            raise InputError(f"burn_in must be a positive integer, got {self.burn_in!r}")
+        _check_positive("c_mix", self.c_mix)
 
 
-# Swap counts are packed one _FIELD-bit field per position, so that one C-level
-# sum counts every position's swaps; that sum modulo _FIELD_MASK is their total.
-_FIELD = 32
-_FIELD_MASK = (1 << _FIELD) - 1
+# Swap counts are packed one field per position, so that one C-level sum counts
+# every position's swaps; that sum modulo the field's mask is their total, which
+# is at most len(state) * len(attach) and must fit in one field.  Six narrow
+# fields fit a machine word, which the sum adds without allocating; states with
+# too many outside neighbours for them use wide fields.
+_NARROW, _WIDE = 10, 32
 
 
 class _MoveTable(dict):
@@ -74,14 +84,15 @@ class _MoveTable(dict):
     connected, ``parts[u]`` the component masks of the state without u.  A
     vertex with attach mask a can replace u when a meets every part of
     ``parts[u]``; ``swap`` maps a to those positions and the table maps it to
-    them as packed fields, both filled on first lookup."""
+    them as packed ``field``-bit fields, both filled on first lookup."""
 
-    __slots__ = ("removable", "parts", "swap")
+    __slots__ = ("removable", "parts", "swap", "field", "mask")
 
-    def __init__(self, nb: tuple[int, ...]):
+    def __init__(self, nb: tuple[int, ...], field: int):
         super().__init__()
         k = len(nb)
         self.parts, self.swap = [], {}
+        self.field, self.mask = field, (1 << field) - 1
         for u in range(k):
             rest, parts = ((1 << k) - 1) ^ (1 << u), []
             while rest:
@@ -101,13 +112,14 @@ class _MoveTable(dict):
         for u, parts in enumerate(self.parts):
             if all(part & attach for part in parts):
                 swap |= 1 << u
-                packed |= 1 << (_FIELD * u)
+                packed |= 1 << (self.field * u)
         self.swap[attach] = swap
         self[attach] = packed
         return packed
 
 
-# One table per shape; fewer than 28k connected shapes have at most 6 positions.
+# One table per shape and field width; fewer than 28k connected shapes have at
+# most 6 positions.
 _moves_table = functools.cache(_MoveTable)
 
 
@@ -116,16 +128,17 @@ def _expand(adj: Sequence[frozenset[int]], state: State, m: int) -> tuple:
     each outside neighbour to its attach mask, all of which may be added below
     m vertices (``adds``), ``swaps`` packs the swap count of every position, and
     ``picks`` keeps each position's sorted replacements once decoded."""
-    attach: dict[int, int] = {}
-    bit = 1
-    for v in state:
+    attach = dict.fromkeys(adj[state[0]], 1)
+    bit = 2
+    for v in state[1:]:
         for w in adj[v]:
             attach[w] = attach.get(w, 0) | bit
         bit <<= 1
-    table = _moves_table(tuple(map(attach.pop, state)))
+    nb = tuple(map(attach.pop, state))
+    table = _moves_table(nb, _NARROW if len(state) * len(attach) < (1 << _NARROW) - 1 else _WIDE)
     adds = len(attach) if len(state) < m else 0
     swaps = sum(map(table.__getitem__, attach.values()))
-    return adds + len(table.removable) + swaps % _FIELD_MASK, adds, attach, table, swaps, {}
+    return adds + len(table.removable) + swaps % table.mask, adds, attach, table, swaps, {}
 
 
 def _neighbor(state: State, expansion: tuple, index: int) -> State:
@@ -140,12 +153,13 @@ def _neighbor(state: State, expansion: tuple, index: int) -> State:
         u = removable[index]
         return state[:u] + state[u + 1:]
     index -= len(removable)
-    swap = table.swap
+    field, mask = table.field, table.mask
     for u in range(len(state)):
-        count = swaps >> (_FIELD * u) & _FIELD_MASK
+        count = swaps >> (field * u) & mask
         if index < count:
-            if u not in picks:
-                picks[u] = sorted([w for w, a in attach.items() if swap[a] >> u & 1])
+            if u not in picks:  # the outside neighbours whose swap positions include u
+                picks[u] = sorted(compress(attach, map(
+                    and_, map(table.swap.__getitem__, attach.values()), repeat(1 << u))))
             return tuple(sorted(state[:u] + state[u + 1:] + (picks[u][index],)))
         index -= count
     raise IntegrityError("neighbor index out of range; degree bookkeeping is broken")
@@ -183,12 +197,13 @@ def burn_in_steps(
     complex_: SimplicialComplex, c_mix: float, diameter: int | None = None
 ) -> int:
     """Walk length from the mixing-time bound: ceil(c_mix * ln(max(n,3)) * max_degree * diam^2)."""
-    if c_mix <= 0:
-        raise InputError("c_mix must be positive")
+    _check_positive("c_mix", c_mix)
     if diameter is None:
         diameter = skeleton_diameter(complex_).value
     n = complex_.vertex_count
     raw = c_mix * math.log(max(n, 3)) * complex_.max_degree * diameter * diameter
+    if not math.isfinite(raw):
+        raise InputError(f"the burn-in for c_mix={c_mix} is not a finite number of steps")
     return max(1, math.ceil(raw))
 
 
@@ -216,49 +231,56 @@ class SimpletSampler:
         self._rng = random.Random(config.rng_seed)
         self._adj = complex_.adjacency
         self._edges = complex_.edges()
-        self._degree_cache: dict[State, int] = {}
-        self._expansions: dict[State, tuple] = {}
-        self._current: State | None = None
-        self._info: tuple | None = None
+        # The memo: a state's degree, replaced by its expansion once the walk
+        # enters it.  It holds at most _CACHE_CAP states.
+        self._degree_cache: dict[State, int | tuple] = {}
         self.steps_taken = 0
 
-    def _weigh(self, state: State) -> tuple[int, tuple | None]:
-        """The degree of ``state``, and its expansion unless only the degree is memoised."""
-        info = self._expansions.get(state)
-        degree = info[0] if info else self._degree_cache.get(state)
-        if degree is None:
-            info = _expand(self._adj, state, self.config.m)
-            degree = info[0]
-            if len(self._degree_cache) < _CACHE_CAP:
-                self._degree_cache[state] = degree
-        return degree, info
-
     def _degree(self, state: State) -> int:
-        return self._weigh(state)[0]
-
-    def _step(self) -> None:
-        d_s = self._info[0]
-        if d_s == 0:
-            raise IntegrityError("reached a sink state; impossible for a connected host")
-        rng = self._rng
-        proposal = _neighbor(self._current, self._info, rng.randrange(d_s))
-        d_j, info = self._weigh(proposal)
-        if d_j <= d_s or rng.random() < d_s / d_j:
-            if info is None:  # kept for the memo's states that the walk enters
-                info = self._expansions[proposal] = _expand(self._adj, proposal, self.config.m)
-            self._current = proposal
-            self._info = info
-        self.steps_taken += 1
+        """The degree of ``state``, by the memo's rules for a proposal."""
+        entry = self._degree_cache.get(state)
+        if entry is None:
+            entry = _expand(self._adj, state, self.config.m)[0]
+            if len(self._degree_cache) < _CACHE_CAP:
+                self._degree_cache[state] = entry
+        return entry if entry.__class__ is int else entry[0]
 
     def sample(self) -> Simplet:
         """One simplet distributed (approximately) uniformly over all states:
-        a fresh chain from a uniform edge, walked for the burn-in length."""
-        edge = self._edges[self._rng.randrange(len(self._edges))]
-        self._current = edge
-        self._info = self._expansions.get(edge) or _expand(self._adj, edge, self.config.m)
+        a fresh chain from a uniform edge, walked for the burn-in length.
+
+        Each step proposes a uniform move of the current state and accepts it
+        with probability ``min(1, d(current) / d(proposal))``.  A proposal's
+        degree comes from the memo; one the memo lacks is expanded, and its
+        degree kept while the memo has room.  Entering a state whose memo
+        entry is a degree expands it again and keeps that expansion."""
+        rng, adj, m, memo, cap = self._rng, self._adj, self.config.m, self._degree_cache, _CACHE_CAP
+        randrange, random_, expand, neighbor = rng.randrange, rng.random, _expand, _neighbor
+        state = self._edges[randrange(len(self._edges))]
+        info = memo.get(state)
+        if info.__class__ is not tuple:  # a chain start reuses only a kept expansion
+            info = expand(adj, state, m)
+        d_s = info[0]
         for _ in range(self.burn_in):
-            self._step()
-        return Simplet(self.complex, self._current)
+            if d_s == 0:
+                raise IntegrityError("reached a sink state; impossible for a connected host")
+            proposal = neighbor(state, info, randrange(d_s))
+            entry = memo.get(proposal)
+            if entry is None:
+                entry = expand(adj, proposal, m)
+                d_j = entry[0]
+                if len(memo) < cap:
+                    memo[proposal] = d_j
+            elif entry.__class__ is int:
+                d_j = entry
+            else:
+                d_j = entry[0]
+            if d_j <= d_s or random_() < d_s / d_j:
+                if entry.__class__ is int:  # entering a state whose degree is memoised
+                    entry = memo[proposal] = expand(adj, proposal, m)
+                state, info, d_s = proposal, entry, d_j
+        self.steps_taken += self.burn_in
+        return Simplet(self.complex, state)
 
 
 def transition_matrix(complex_: SimplicialComplex, m: int):

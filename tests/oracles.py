@@ -7,6 +7,7 @@ connectivity is a fresh BFS, and type matching is a permutation search.
 
 from __future__ import annotations
 
+import random
 from itertools import combinations, permutations
 
 from simplets import SimplicialComplex
@@ -227,6 +228,30 @@ def segment_moves(adj, state, m) -> list[tuple[int, ...]]:
         cand = set.intersection(*(set().union(*(adj[x] for x in c)) for c in comps)) - sset
         swaps += [tuple(sorted(rest + [w])) for w in sorted(cand)]
     return moves + swaps
+
+
+def reference_walk(complex_: SimplicialComplex, m: int, burn_in: int, seed: int, count: int):
+    """``count`` samples of the walk with no memo, moves from ``segment_moves``.
+
+    Each chain starts at a uniform edge of ``complex_.edges()`` and makes
+    ``burn_in`` Metropolis-Hastings steps: a uniform move index, accepted
+    when the proposal's degree is no larger or with probability d(s)/d(j).
+    One ``random.Random(seed)`` stream drives every chain, drawn in that order.
+    """
+    rng = random.Random(seed)
+    adj, edges = complex_.adjacency, complex_.edges()
+    samples = []
+    for _ in range(count):
+        state = edges[rng.randrange(len(edges))]
+        moves = segment_moves(adj, state, m)
+        for _ in range(burn_in):
+            proposal = moves[rng.randrange(len(moves))]
+            proposal_moves = segment_moves(adj, proposal, m)
+            d_s, d_j = len(moves), len(proposal_moves)
+            if d_j <= d_s or rng.random() < d_s / d_j:
+                state, moves = proposal, proposal_moves
+        samples.append(state)
+    return samples
 
 
 def bit_connected(nb, mask) -> bool:

@@ -63,6 +63,19 @@ def test_approx_params_validation():
         ApproxParams(epsilon=0.1, delta=0.1, c=-1)
 
 
+@pytest.mark.parametrize("eps, delta, c", [
+    (math.nan, 0.1, 0.5), (0.1, math.nan, 0.5), (0.1, 0.1, math.nan), (0.1, 0.1, math.inf),
+    (0.1, 0.1, 1e308),  # finite constants, infinite bound
+    (1e-200, 0.1, 0.5),  # epsilon squared underflows to zero
+    (0.1, 5e-324, 0.5),  # 1 / delta overflows
+])
+def test_non_finite_constants_and_bounds_are_rejected(eps, delta, c):
+    with pytest.raises(InputError):
+        required_samples(eps, delta, c)
+    with pytest.raises(InputError):
+        ApproxParams(epsilon=eps, delta=delta, c=c)
+
+
 def test_empirical_sfd_indicator_average(filled_triangle, catalog3):
     edge = induced_subcomplex(filled_triangle, {0, 1})
     tri = induced_subcomplex(filled_triangle, {0, 1, 2})

@@ -180,6 +180,63 @@ def test_validate_zero_trials_is_usage_error():
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize("flag", ["--c", "--c-mix"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_constants_are_usage_errors(tmp_path, flag, value):
+    path = write_triangle(tmp_path)
+    for command in (["approx", "--input", path], ["validate", "--input", path, "--trials", "2"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(command + ["--m", "3", f"{flag}={value}"])
+        assert excinfo.value.code == 2
+
+
+def test_bench_non_finite_average_degree_is_usage_error():
+    with pytest.raises(SystemExit) as excinfo:
+        main(["bench", "--sizes", "50", "--avg-degree", "nan", "--m", "3"])
+    assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("flag", ["--c", "--c-mix"])
+def test_infinite_bound_is_input_error(capsys, tmp_path, flag):
+    # finite constants whose sample bound or burn-in overflows
+    path = write_triangle(tmp_path)
+    code, out, err = run(capsys, ["approx", "--input", path, "--m", "3", flag, "1e308"])
+    assert code == 3
+    assert out == "" and err.startswith("input error:")
+
+
+def test_validate_starts_no_more_workers_than_trials(capsys, tmp_path, monkeypatch):
+    import concurrent.futures
+
+    workers = []
+
+    class SerialPool:
+        # records the pool size and runs the trials in this process
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    path = write_triangle(tmp_path)
+    base = ["validate", "--input", path, "--m", "3", "--seed", "3", "--c-mix", "3"]
+    _, serial, _ = run(capsys, base + ["--trials", "3"])
+    _, pooled, _ = run(capsys, base + ["--trials", "3", "--threads", "64"])
+    assert workers == [3]
+    a, b = json.loads(serial), json.loads(pooled)
+    assert b["params"]["threads"] == 64
+    assert a["linf_errors"] == b["linf_errors"]
+    run(capsys, base + ["--trials", "1", "--threads", "8"])  # one trial needs no pool
+    assert workers == [3]
+
+
 def test_gen_complete(capsys):
     code, out, _ = run(capsys, ["gen", "--model", "flag", "--n", "4", "--p-edge", "1.0"])
     assert code == 0

@@ -10,6 +10,7 @@ from simplets import (
     ApproxParams,
     GenSpec,
     InputError,
+    IntegrityError,
     SimpletSampler,
     StructuralError,
     WalkConfig,
@@ -74,6 +75,28 @@ def test_config_validation():
         WalkConfig(m=3, burn_in=0)
     with pytest.raises(InputError):
         WalkConfig(m=3, c_mix=0.0)
+
+
+@pytest.mark.parametrize("burn_in", [2.5, 3.0, True, "5"])
+def test_config_burn_in_must_be_an_int(burn_in):
+    with pytest.raises(InputError):
+        WalkConfig(m=3, burn_in=burn_in)
+
+
+@pytest.mark.parametrize("c_mix", [math.nan, math.inf, -math.inf])
+def test_config_c_mix_must_be_finite(c_mix, path4):
+    with pytest.raises(InputError):
+        WalkConfig(m=3, c_mix=c_mix)
+    with pytest.raises(InputError):
+        burn_in_steps(path4, c_mix)
+
+
+def test_burn_in_that_overflows_is_rejected(path4):
+    # finite c_mix, infinite bound: an InputError, not an OverflowError
+    with pytest.raises(InputError):
+        burn_in_steps(path4, 1e308)
+    with pytest.raises(InputError):
+        SimpletSampler(path4, WalkConfig(m=3, c_mix=1e308))
 
 
 def test_neighbors_filled_triangle(filled_triangle):
@@ -248,6 +271,7 @@ def _flag40():
 
 
 def test_caches_stay_within_cap_without_changing_the_stream(monkeypatch):
+    # The one memo: capped, and the stream does not depend on the cap.
     complex_ = _flag40()
     config = WalkConfig(m=4, burn_in=300, rng_seed=5)
     uncapped = SimpletSampler(complex_, config)
@@ -256,14 +280,14 @@ def test_caches_stay_within_cap_without_changing_the_stream(monkeypatch):
     monkeypatch.setattr(sampler_module, "_CACHE_CAP", 50)
     capped = SimpletSampler(complex_, config)
     assert [capped.sample().vertices for _ in range(30)] == expected
-    assert len(capped._degree_cache) <= 50
-    assert len(capped._expansions) <= 50
+    assert len(capped._degree_cache) == 50
+    assert any(type(entry) is tuple for entry in capped._degree_cache.values())
 
 
 def test_expansions_are_memo_misses_and_entered_memo_hits(monkeypatch):
-    # The memo keeps degrees: a proposal is expanded when its degree is not
-    # memoised yet, and a memoised one again when the walk first enters it,
-    # which keeps that expansion for later visits and chain starts.
+    # The memo keeps degrees: a proposal is expanded when it is not memoised
+    # yet, and a memoised one again when the walk first enters it, which
+    # replaces its degree by that expansion for later visits and chain starts.
     expansions, currents, proposals = [], [], []
     expand, neighbor = sampler_module._expand, sampler_module._neighbor
 
@@ -280,35 +304,65 @@ def test_expansions_are_memo_misses_and_entered_memo_hits(monkeypatch):
     monkeypatch.setattr(sampler_module, "_neighbor", recorded_neighbor)
     complex_ = _flag40()
     sampler = SimpletSampler(complex_, WalkConfig(m=4, burn_in=300, rng_seed=5))
-    step, seen, entered, tally = sampler._step, set(), set(), Counter()
-
-    def observed_step():
-        step()
-        proposal = proposals[-1]
-        if proposal not in seen:
-            seen.add(proposal)
-            tally["miss"] += 1
-        elif sampler._current == proposal:
-            tally["accepted hit"] += 1
-            entered.add(proposal)
-
-    sampler._step = observed_step
-    fresh_starts = 0
+    seen, entered, tally, fresh_starts = set(), set(), Counter(), 0
     for _ in range(30):
         kept, first = set(entered), len(proposals)
-        sampler.sample()
+        final = sampler.sample().vertices
         fresh_starts += currents[first] not in kept
-    assert len(sampler._degree_cache) < sampler_module._CACHE_CAP
+        # the walk's state after each step: the next step's current state,
+        # and the sample after the last step
+        for proposal, after in zip(proposals[first:], currents[first + 1:] + [final]):
+            if proposal not in seen:
+                seen.add(proposal)
+                tally["miss"] += 1
+            elif after == proposal:
+                tally["accepted hit"] += 1
+                entered.add(proposal)
+    assert len(proposals) == sampler.steps_taken == 30 * 300
+    memo = sampler._degree_cache
+    assert len(memo) < sampler_module._CACHE_CAP
     assert tally["accepted hit"] > len(entered) > 0
     # one expansion per chain start without a kept one, per memo miss and
     # per memo hit entered
     assert len(expansions) == fresh_starts + tally["miss"] + len(entered)
     assert 0 < fresh_starts < 30  # both kinds of chain start occur
-    assert set(sampler._degree_cache) == seen
-    assert set(sampler._expansions) == entered
-    assert all(type(degree) is int for degree in sampler._degree_cache.values())
+    assert set(memo) == seen
+    assert {state for state, entry in memo.items() if type(entry) is tuple} == entered
+    assert all(type(entry) is int for state, entry in memo.items() if state not in entered)
     for state in sorted(seen)[:50]:
-        assert sampler._degree_cache[state] == state_degree(complex_, state, 4)
+        assert sampler._degree(state) == state_degree(complex_, state, 4)
+
+
+def test_sink_state_is_an_integrity_error(monkeypatch, filled_triangle):
+    expand = sampler_module._expand
+
+    def sink(adj, state, m):  # every state reports degree 0
+        return (0,) + expand(adj, state, m)[1:]
+
+    monkeypatch.setattr(sampler_module, "_expand", sink)
+    with pytest.raises(IntegrityError):
+        SimpletSampler(filled_triangle, WalkConfig(m=3, burn_in=4)).sample()
+
+
+def _walk_zoo(model):
+    spec = GenSpec(model, 60 if model == "flag" else 30, 0.1 if model == "flag" else 0.25,
+                   0.7, 0.7, seed=2)
+    return largest_connected_restriction(generate(spec)).complex
+
+
+@pytest.mark.parametrize("cap", [None, 50])
+@pytest.mark.parametrize("model", ["flag", "lm"])
+def test_sampler_matches_reference_walk(model, cap, monkeypatch):
+    # The seeded stream of the memoised walk equals that of the plain
+    # Metropolis-Hastings walk over the segment oracle's moves, also when
+    # the memo fills up.
+    if cap is not None:
+        monkeypatch.setattr(sampler_module, "_CACHE_CAP", cap)
+    complex_ = _walk_zoo(model)
+    for m in range(3, 7):
+        sampler = SimpletSampler(complex_, WalkConfig(m=m, burn_in=200, rng_seed=m))
+        got = [sampler.sample().vertices for _ in range(8)]
+        assert got == oracles.reference_walk(complex_, m, 200, m, 8), m
 
 
 @pytest.mark.parametrize("model", ["flag", "lm"])
@@ -334,10 +388,12 @@ def test_move_order_matches_the_segment_oracle(model):
 
 def test_move_table_matches_brute_force_connectivity():
     # Every connected labelled graph on k = 2..5 positions and every nonzero
-    # attach mask: removable positions and swap positions by exhaustive check.
+    # attach mask, in both field widths: removable positions and swap
+    # positions by exhaustive check.
     for k in range(2, 6):
         pairs = list(combinations(range(k), 2))
         full = (1 << k) - 1
+        rest = [full & ~(1 << u) for u in range(k)]
         for edges in range(1 << len(pairs)):
             nb = [0] * k
             for bit, (i, j) in enumerate(pairs):
@@ -346,25 +402,39 @@ def test_move_table_matches_brute_force_connectivity():
                     nb[j] |= 1 << i
             if not oracles.bit_connected(nb, full):
                 continue
-            table = sampler_module._moves_table(tuple(nb))
-            rest = [full & ~(1 << u) for u in range(k)]
-            assert table.removable == [
-                u for u in range(k) if k > 2 and oracles.bit_connected(nb, rest[u])
-            ]
-            for attach in range(1, full + 1):
-                # w joins the state as position k; it may replace u when the
-                # state without u, with w added, is connected.
-                grown = nb + [attach]
-                for i in range(k):
-                    if attach >> i & 1:
-                        grown[i] = nb[i] | 1 << k
-                expected = sum(
-                    1 << u for u in range(k)
-                    if oracles.bit_connected(grown, rest[u] | 1 << k)
-                )
-                packed = table[attach]
-                assert table.swap[attach] == expected, (nb, attach)
-                assert packed % sampler_module._FIELD_MASK == expected.bit_count()
+            for field in (sampler_module._NARROW, sampler_module._WIDE):
+                table = sampler_module._moves_table(tuple(nb), field)
+                assert table.removable == [
+                    u for u in range(k) if k > 2 and oracles.bit_connected(nb, rest[u])
+                ]
+                for attach in range(1, full + 1):
+                    # w joins the state as position k; it may replace u when
+                    # the state without u, with w added, is connected.
+                    grown = nb + [attach]
+                    for i in range(k):
+                        if attach >> i & 1:
+                            grown[i] = nb[i] | 1 << k
+                    expected = sum(
+                        1 << u for u in range(k)
+                        if oracles.bit_connected(grown, rest[u] | 1 << k)
+                    )
+                    packed = table[attach]
+                    assert table.swap[attach] == expected, (nb, attach)
+                    assert packed == sum(1 << field * u for u in range(k) if expected >> u & 1)
+                    assert packed % table.mask == expected.bit_count()
+
+
+def test_swap_counts_beyond_the_narrow_field():
+    # A star: from a state of the centre and leaves, every other leaf can be
+    # added and can replace a leaf, more often than a narrow field counts.
+    leaves = 1100
+    star = build_complex([{0, v} for v in range(1, leaves + 1)], leaves + 1)
+    assert leaves - 1 > sampler_module._moves_table((2, 1), sampler_module._NARROW).mask
+    for state, degree in [((0, 1), 2 * (leaves - 1)), ((0, 1, 2), 2 + 2 * (leaves - 2))]:
+        assert state_degree(star, state, 3) == degree
+        expansion = sampler_module._expand(star.adjacency, state, 3)
+        moves = [sampler_module._neighbor(state, expansion, i) for i in range(expansion[0])]
+        assert moves == oracles.segment_moves(star.adjacency, state, 3)
 
 
 @pytest.mark.parametrize("state", [(0, 9), (1,), (0, 2), (0, 1, 2, 3), (1, 1, 2)])
