@@ -9,6 +9,8 @@ the output quietly: no traceback, nothing on stderr, exit code 0.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import functools
 import io
 import json
@@ -16,10 +18,9 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 
 from .approx import ApproxParams, approximate_sfd, linf_distance, required_samples
-from .catalog import generate_catalog
+from .catalog import SimpletCatalog, generate_catalog
 from .complexes import SimplicialComplex, skeleton_diameter
 from .errors import InputError, IntegrityError, StructuralError
 from .exact import SFDVector, exact_counts
@@ -161,6 +162,23 @@ def _write_stdout(text: str) -> None:
         os.close(devnull)
 
 
+@contextlib.contextmanager
+def _output(path: str):
+    """A text handle on ``path``, or on stdout for ``-``; an unwritable path
+    raises InputError on entry."""
+    if path == "-":
+        buffer = io.StringIO()
+        yield buffer
+        _write_stdout(buffer.getvalue())
+        return
+    try:
+        handle = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    with handle:
+        yield handle
+
+
 def _print_json(obj) -> None:
     _write_stdout(json.dumps(obj, indent=2) + "\n")
 
@@ -206,64 +224,12 @@ def cmd_approx(args) -> int:
     return EXIT_OK
 
 
-@dataclass
-class ExperimentReport:
-    """Validation-run summary: complex stats, parameters, per-trial errors."""
-
-    n: int
-    edges: int
-    max_degree: int
-    diameter: int
-    params: dict
-    exact: dict
-    linf_errors: list[float] = field(default_factory=list)
-    exact_seconds: float = 0.0
-    sampling_seconds: float = 0.0
-
-    def to_json_obj(self) -> dict:
-        trials = len(self.linf_errors)
-        epsilon = self.params["epsilon"]
-        delta = self.params["delta"]
-        failures = sum(1 for e in self.linf_errors if e > epsilon)
-        threshold = delta + 2.0 * math.sqrt(delta * (1.0 - delta) / trials)
-        return {
-            "mode": "validate",
-            "complex": {
-                "n": self.n,
-                "edges": self.edges,
-                "max_degree": self.max_degree,
-                "diameter": self.diameter,
-            },
-            "params": self.params,
-            "exact": self.exact,
-            "trials": trials,
-            "linf_errors": self.linf_errors,
-            "failures": failures,
-            "failure_fraction": failures / trials,
-            "threshold": threshold,
-            "passed": failures / trials <= threshold,
-            "timing": {
-                "exact_seconds": self.exact_seconds,
-                "sampling_seconds": self.sampling_seconds,
-            },
-        }
-
-
-@functools.lru_cache(maxsize=4)
-def _trial_context(facets: tuple, n: int, m: int):
-    complex_ = SimplicialComplex(n, facets)
-    skeleton_diameter(complex_)  # raises at once if disconnected, before the catalog
-    return complex_, generate_catalog(m)
-
-
-def _run_trial(job: tuple) -> float:
-    facets, n, m, epsilon, delta, c, c_mix, trial_seed, exact_freq = job
-    complex_, catalog = _trial_context(facets, n, m)
-    walk = WalkConfig(m=m, c_mix=c_mix, rng_seed=trial_seed)
-    params = ApproxParams(epsilon=epsilon, delta=delta, c=c, walk=walk)
-    approx = approximate_sfd(complex_, catalog, params)
-    exact = SFDVector(catalog_m=m, frequencies=exact_freq)
-    return linf_distance(approx, exact)
+def _run_trial(
+    complex_: SimplicialComplex, catalog: SimpletCatalog, params: ApproxParams, exact: SFDVector, seed: int
+) -> float:
+    """L-infinity error of one seeded ``approx`` run against the exact oracle."""
+    params = dataclasses.replace(params, walk=dataclasses.replace(params.walk, rng_seed=seed))
+    return linf_distance(approximate_sfd(complex_, catalog, params), exact)
 
 
 def _complex_from_args(args) -> tuple[SimplicialComplex, dict]:
@@ -292,29 +258,19 @@ def _complex_from_args(args) -> tuple[SimplicialComplex, dict]:
 
 def cmd_validate(args) -> int:
     complex_, origin = _complex_from_args(args)
-    # Serial trials use this very complex and catalog, and pool workers forked
-    # after this point inherit them, so the diameter is computed once per run.
-    complex_, catalog = _trial_context(complex_.facets, complex_.vertex_count, args.m)
-    diameter = skeleton_diameter(complex_)
+    diameter = skeleton_diameter(complex_)  # raises at once if disconnected, before the catalog
+    # A bad bound fails here, before exact counting.
+    params = ApproxParams(args.epsilon, args.delta, args.c, WalkConfig(m=args.m, c_mix=args.c_mix))
+    burn_in = burn_in_steps(complex_, args.c_mix)
+    catalog = generate_catalog(args.m)
 
     t0 = time.perf_counter()
     exact = exact_counts(complex_, catalog)
     exact_seconds = time.perf_counter() - t0
 
-    jobs = [
-        (
-            complex_.facets,
-            complex_.vertex_count,
-            args.m,
-            args.epsilon,
-            args.delta,
-            args.c,
-            args.c_mix,
-            args.seed * 1_000_003 + trial,
-            exact.frequencies,
-        )
-        for trial in range(args.trials)
-    ]
+    # Serial and pooled trials run this one context; each pool chunk pickles it.
+    trial = functools.partial(_run_trial, complex_, catalog, params, exact)
+    seeds = [args.seed * 1_000_003 + index for index in range(args.trials)]
     t0 = time.perf_counter()
     workers = min(args.threads, args.trials)  # the pool starts every worker at once
     if workers > 1:
@@ -322,35 +278,45 @@ def cmd_validate(args) -> int:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            errors = list(pool.map(_run_trial, jobs, chunksize=max(1, args.trials // (4 * workers))))
+            errors = list(pool.map(trial, seeds, chunksize=max(1, args.trials // (4 * workers))))
     else:
-        errors = [_run_trial(job) for job in jobs]
+        errors = list(map(trial, seeds))
     sampling_seconds = time.perf_counter() - t0
 
-    report = ExperimentReport(
-        n=complex_.vertex_count,
-        edges=complex_.edge_count,
-        max_degree=complex_.max_degree,
-        diameter=diameter.value,
-        params={
-            **origin,
-            "m": args.m,
-            "epsilon": args.epsilon,
-            "delta": args.delta,
-            "c": args.c,
-            "c_mix": args.c_mix,
-            "samples_per_trial": required_samples(args.epsilon, args.delta, args.c),
-            "burn_in": burn_in_steps(complex_, args.c_mix),
+    failures = sum(1 for e in errors if e > args.epsilon)
+    threshold = args.delta + 2.0 * math.sqrt(args.delta * (1.0 - args.delta) / args.trials)
+    _print_json(
+        {
+            "mode": "validate",
+            "complex": {
+                "n": complex_.vertex_count,
+                "edges": complex_.edge_count,
+                "max_degree": complex_.max_degree,
+                "diameter": diameter.value,
+            },
+            "params": {
+                **origin,
+                "m": args.m,
+                "epsilon": args.epsilon,
+                "delta": args.delta,
+                "c": args.c,
+                "c_mix": args.c_mix,
+                "samples_per_trial": required_samples(args.epsilon, args.delta, args.c),
+                "burn_in": burn_in,
+                "trials": args.trials,
+                "seed": args.seed,
+                "threads": args.threads,
+            },
+            "exact": exact.to_json_obj(),
             "trials": args.trials,
-            "seed": args.seed,
-            "threads": args.threads,
-        },
-        exact=exact.to_json_obj(),
-        linf_errors=errors,
-        exact_seconds=exact_seconds,
-        sampling_seconds=sampling_seconds,
+            "linf_errors": errors,
+            "failures": failures,
+            "failure_fraction": failures / args.trials,
+            "threshold": threshold,
+            "passed": failures / args.trials <= threshold,
+            "timing": {"exact_seconds": exact_seconds, "sampling_seconds": sampling_seconds},
+        }
     )
-    _print_json(report.to_json_obj())
     return EXIT_OK
 
 
@@ -361,12 +327,8 @@ def cmd_gen(args) -> int:
     complex_ = generate(spec)
     if args.largest_component:
         complex_, _kept = largest_connected_restriction(complex_)
-    if args.output == "-":
-        buffer = io.StringIO()
-        write_facets(buffer, complex_)
-        _write_stdout(buffer.getvalue())
-    else:
-        write_facets(args.output, complex_)
+    with _output(args.output) as handle:
+        write_facets(handle, complex_)
     return EXIT_OK
 
 
@@ -374,27 +336,23 @@ def cmd_bench(args) -> int:
     catalog = generate_catalog(args.m)
     samples = required_samples(args.epsilon, args.delta, args.c)
     rows = ["n,edges,max_degree,diameter,burn_in,samples,seconds"]
-    for index, size in enumerate(args.sizes):
-        p_edge = min(1.0, args.avg_degree / (size - 1))
-        spec = GenSpec(args.model, size, p_edge, args.p_tri, args.p_tet, args.seed + index)
-        complex_, _kept = largest_connected_restriction(generate(spec))
-        diameter = skeleton_diameter(complex_)
-        walk = WalkConfig(m=args.m, c_mix=args.c_mix, rng_seed=args.seed + index)
-        sampler = SimpletSampler(complex_, walk)
-        t0 = time.perf_counter()
-        for _ in range(samples):
-            sampler.sample()
-        seconds = time.perf_counter() - t0
-        rows.append(
-            f"{complex_.vertex_count},{complex_.edge_count},{complex_.max_degree},"
-            f"{diameter.value},{sampler.burn_in},{samples},{seconds:.6f}"
-        )
-    text = "\n".join(rows) + "\n"
-    if args.output == "-":
-        _write_stdout(text)
-    else:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+    with _output(args.output) as handle:  # an unwritable path fails before the sweep
+        for index, size in enumerate(args.sizes):
+            p_edge = min(1.0, args.avg_degree / (size - 1))
+            spec = GenSpec(args.model, size, p_edge, args.p_tri, args.p_tet, args.seed + index)
+            complex_, _kept = largest_connected_restriction(generate(spec))
+            diameter = skeleton_diameter(complex_)
+            walk = WalkConfig(m=args.m, c_mix=args.c_mix, rng_seed=args.seed + index)
+            sampler = SimpletSampler(complex_, walk)
+            t0 = time.perf_counter()
+            for _ in range(samples):
+                sampler.sample()
+            seconds = time.perf_counter() - t0
+            rows.append(
+                f"{complex_.vertex_count},{complex_.edge_count},{complex_.max_degree},"
+                f"{diameter.value},{sampler.burn_in},{samples},{seconds:.6f}"
+            )
+        handle.write("\n".join(rows) + "\n")
     return EXIT_OK
 
 

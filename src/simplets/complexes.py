@@ -65,8 +65,12 @@ class SimplicialComplex:
         return sum(len(s) for s in self.adjacency) // 2
 
     def edges(self) -> list[tuple[int, int]]:
-        """All 1-simplices as sorted pairs, in deterministic order."""
-        return [(u, v) for u in range(self.vertex_count) for v in self.adjacency[u] if u < v]
+        """All 1-simplices as sorted pairs, in sorted order.
+
+        The walk draws its start edge from this list, so the order must not
+        depend on how a copy of the complex hashes its adjacency sets.
+        """
+        return [(u, v) for u in range(self.vertex_count) for v in sorted(self.adjacency[u]) if u < v]
 
     def _check_vertices(self, vertices: Iterable[int]) -> tuple[int, ...]:
         vs = tuple(vertices)

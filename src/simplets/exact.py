@@ -152,8 +152,9 @@ def enumerate_connected_subsets(
 ) -> Iterator[tuple[int, ...]]:
     """Yield every vertex set of size 2..m whose induced skeleton is connected.
 
-    Each subset is produced exactly once, as a sorted tuple, in a
-    deterministic order for a fixed complex.
+    Each subset is produced exactly once, as a sorted tuple.  The order
+    follows the adjacency sets' iteration order, so it may differ between
+    copies of a complex; the set of subsets, and hence every count, does not.
     """
     for sub, _mask in _grow(complex_, m):
         yield tuple(sorted(sub))

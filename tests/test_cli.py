@@ -142,15 +142,19 @@ def test_validate_report(capsys, tmp_path):
 
 
 def test_validate_threads_do_not_change_results(capsys, tmp_path):
-    path = write_triangle(tmp_path)
-    base = ["validate", "--input", path, "--m", "3", "--trials", "8",
-            "--seed", "3", "--c-mix", "3"]
-    _, out1, _ = run(capsys, base)
-    _, out2, _ = run(capsys, base + ["--threads", "2"])
-    a, b = json.loads(out1), json.loads(out2)
-    a.pop("timing"), b.pop("timing")
-    a["params"].pop("threads"), b["params"].pop("threads")
-    assert a == b
+    # On a triangle every order is sorted anyway; the generated complex has
+    # adjacency sets whose iteration order a pickled copy need not keep.
+    triangle = ["validate", "--input", write_triangle(tmp_path), "--m", "3", "--trials", "8",
+                "--seed", "3", "--c-mix", "3"]
+    generated = ["validate", "--model", "lm", "--n", "20", "--p-edge", "0.3", "--p-tri", "0.7",
+                 "--p-tet", "0.7", "--largest-component", "--m", "3", "--trials", "4"]
+    for base in (triangle, generated):
+        _, out1, _ = run(capsys, base)
+        _, out2, _ = run(capsys, base + ["--threads", "2"])
+        a, b = json.loads(out1), json.loads(out2)
+        a.pop("timing"), b.pop("timing")
+        a["params"].pop("threads"), b["params"].pop("threads")
+        assert a == b
 
 
 def test_validate_from_generator(capsys):
@@ -201,6 +205,19 @@ def test_infinite_bound_is_input_error(capsys, tmp_path, flag):
     # finite constants whose sample bound or burn-in overflows
     path = write_triangle(tmp_path)
     code, out, err = run(capsys, ["approx", "--input", path, "--m", "3", flag, "1e308"])
+    assert code == 3
+    assert out == "" and err.startswith("input error:")
+
+
+@pytest.mark.parametrize("flag", ["--c", "--c-mix"])
+def test_validate_rejects_a_bad_bound_before_the_exact_oracle(capsys, tmp_path, monkeypatch, flag):
+    def no_exact_counts(*args):
+        raise AssertionError("exact counting ran before the bound was checked")
+
+    monkeypatch.setattr("simplets.cli.exact_counts", no_exact_counts)
+    path = write_triangle(tmp_path)
+    code, out, err = run(capsys, ["validate", "--input", path, "--m", "3", "--trials", "2",
+                                  flag, "1e308"])
     assert code == 3
     assert out == "" and err.startswith("input error:")
 
@@ -277,6 +294,21 @@ def test_bench_single_row_and_epsilon_scaling(capsys):
     code, out, _ = run(capsys, base + ["--epsilon", "0.15"])
     samples_fine = int(out.strip().splitlines()[1].split(",")[5])
     assert 3.8 <= samples_fine / samples_coarse <= 4.0
+
+
+@pytest.mark.parametrize("command", [
+    ["gen", "--model", "flag", "--n", "4", "--p-edge", "1.0"],
+    ["bench", "--sizes", "14", "--avg-degree", "5", "--m", "3"],
+], ids=["gen", "bench"])
+def test_unwritable_output_is_input_error(capsys, tmp_path, monkeypatch, command):
+    def no_sweep(*args):
+        raise AssertionError("the sweep ran before the output was opened")
+
+    monkeypatch.setattr("simplets.cli.SimpletSampler", no_sweep)
+    path = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, command + ["--output", str(path)])
+    assert code == 3
+    assert out == "" and err.startswith("input error: cannot write")
 
 
 def test_bench_usage_errors():

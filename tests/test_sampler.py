@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from collections import Counter
 from itertools import combinations
@@ -268,6 +270,29 @@ def test_seeded_stream_is_pinned(triangle_with_pendant, catalog3):
 
 def _flag40():
     return largest_connected_restriction(generate(GenSpec("flag", 40, 0.15, seed=3))).complex
+
+
+def test_seeded_stream_is_pinned_on_a_larger_complex():
+    # Forty vertices give the start edge and the moves enough choices that
+    # an order change anywhere in the walk moves this stream.
+    sampler = SimpletSampler(_flag40(), WalkConfig(m=4, rng_seed=11))
+    assert [sampler.sample().vertices for _ in range(10)] == [
+        (2, 3, 16, 17), (3, 9, 14, 35), (0, 6, 7, 33), (6, 19, 20, 38), (7, 20, 23, 26),
+        (1, 20, 28, 38), (10, 20, 34), (16, 19, 20, 21), (8, 26, 27), (6, 11, 20, 34),
+    ]
+
+
+def test_seeded_output_survives_pickling_and_copying(catalog3):
+    # Pool workers get the complex pickled; the seeded output must not
+    # depend on the iteration order of a copy's adjacency sets.
+    spec = GenSpec("lm", 20, 0.3, p_tri=0.7, p_tet=0.7, seed=0)
+    complex_ = largest_connected_restriction(generate(spec)).complex
+    copies = [pickle.loads(pickle.dumps(complex_)), copy.deepcopy(complex_)]
+    params = ApproxParams(0.1, 0.1, 0.5, WalkConfig(m=3, rng_seed=0))
+    expected = approximate_sfd(complex_, catalog3, params)
+    for other in copies:
+        assert other.edges() == complex_.edges()
+        assert approximate_sfd(other, catalog3, params) == expected
 
 
 def test_caches_stay_within_cap_without_changing_the_stream(monkeypatch):
