@@ -9,6 +9,7 @@ deviation over the type family equals the coordinatewise L-infinity distance.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -59,8 +60,11 @@ def required_samples(epsilon: float, delta: float, c: float = DEFAULT_VC_CONSTAN
     _check_positive("c", c)
     square = epsilon * epsilon
     raw = c / square * (_VC_DIMENSION + math.log(1.0 / delta)) if square else math.inf
-    if not math.isfinite(raw):
-        raise InputError(f"epsilon={epsilon}, delta={delta} and c={c} give no finite sample bound")
+    if not raw <= sys.maxsize:  # no list of samples can be longer
+        raise InputError(
+            f"epsilon={epsilon}, delta={delta} and c={c} give {raw:.3g} samples, "
+            f"more than any run can draw ({sys.maxsize})"
+        )
     return math.ceil(raw)
 
 

@@ -65,9 +65,97 @@ def _bits(mask: int) -> list[int]:
     return [b for b in range(mask.bit_length()) if mask >> b & 1]
 
 
+# The set bits of every vertex bitmask of up to MAX_CATALOG_VERTICES vertices.
+_BITS = tuple(tuple(_bits(cell)) for cell in range(1 << MAX_CATALOG_VERTICES))
+
+
 def _max_mask(tables: Iterable[Sequence[int]], mask: int) -> int:
     bits = _bits(mask)
     return max(sum(map(table.__getitem__, bits)) for table in tables)
+
+
+_ORDER_TABLES: dict[int, tuple[tuple[tuple[int, int, int], ...], int, dict]] = {}
+
+
+def _order_tables(k: int) -> tuple[tuple[tuple[int, int, int], ...], int, dict]:
+    """``(u, v, weight)`` per edge of ``simplex_layout(k)``, the mask of all
+    edges, and the weight table of each labelling keyed by its vertex order
+    (the vertex that gets label 0 first)."""
+    if k not in _ORDER_TABLES:
+        edges = tuple((s[0], s[1], w) for s, w, _ in simplex_layout(k) if len(s) == 2)
+        by_order = {}
+        for perm, table in zip(permutations(range(k)), _tables(k)):
+            order = [0] * k
+            for v, label in enumerate(perm):
+                order[label] = v
+            by_order[tuple(order)] = table
+        _ORDER_TABLES[k] = (edges, sum(w for _, _, w in edges), by_order)
+    return _ORDER_TABLES[k]
+
+
+def _edge_maximal_orders(k: int, rows: Sequence[int]) -> list[tuple[int, ...]]:
+    """Vertex orders (the vertex that gets label 0 first) that include every
+    labelling giving the skeleton with adjacency bitmasks ``rows`` its
+    largest edge part.
+
+    Labels go out one at a time.  A partial labelling keeps its unlabelled
+    vertices in ordered cells, as bitmasks: a cell's labels come before those
+    of every later cell.  Labelling ``v`` next gives it a row of ones for its
+    neighbours in each later cell, placed first in that cell, so the largest
+    row goes to the vertices whose neighbour counts in the later cells form
+    the largest tuple.  Ties branch, compared across all partial labellings
+    of the level; each cell then splits into the new vertex's neighbours and
+    the rest.  The partial labellings of a level share their rows so far and
+    hence their cell sizes; once every cell is a single vertex, each has one
+    completion, and all of them are returned.
+    """
+    level: list[tuple[tuple[int, ...], list[int]]] = [((), [(1 << k) - 1])]
+    while len(level[0][1]) < k - len(level[0][0]):
+        best: tuple[int, ...] = ()
+        picks: list[tuple[tuple[int, ...], list[int], int]] = []
+        for order, cells in level:
+            first, rest = cells[0], cells[1:]
+            for v in _BITS[first]:
+                row = rows[v]
+                counts = ((first & row).bit_count(), *[(c & row).bit_count() for c in rest])
+                if counts > best:
+                    best, picks = counts, [(order, cells, v)]
+                elif counts == best:
+                    picks.append((order, cells, v))
+        level = []
+        for order, cells, v in picks:
+            row = rows[v]
+            split = []
+            for c in (cells[0] & ~(1 << v), *cells[1:]):
+                if c & row:
+                    split.append(c & row)
+                if c & ~row:
+                    split.append(c & ~row)
+            level.append((order + (v,), split))
+    return [order + tuple(c.bit_length() - 1 for c in cells) for order, cells in level]
+
+
+def _canonical_mask(k: int, mask: int) -> int:
+    """The largest relabeling of a k-vertex simplex mask.
+
+    Edges hold the high bits, so the largest relabeling is one whose edge
+    part is largest.  Individualisation and refinement over the skeleton's
+    rows (McKay & Piperno, 2014) finds those labellings, and only their
+    weight tables are evaluated.  For k <= 4 or a complete skeleton the
+    refinement prunes little or nothing, and every table is evaluated.
+    """
+    tables = _tables(k)
+    if k <= 4:
+        return _max_mask(tables, mask)
+    edges, all_edges, by_order = _order_tables(k)
+    if mask & all_edges == all_edges:
+        return _max_mask(tables, mask)
+    rows = [0] * k
+    for u, v, w in edges:
+        if mask & w:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    return _max_mask([by_order[order] for order in _edge_maximal_orders(k, rows)], mask)
 
 
 @dataclass(frozen=True, order=True)
@@ -90,7 +178,7 @@ def canonical_form(vertex_count: int, simplices: Iterable[Iterable[int]]) -> Sim
     """
     if vertex_count < 2:
         raise InputError("a simplet type needs at least two vertices")
-    tables = _tables(vertex_count)  # rejects k > 6 before the 2**k layout is built
+    _tables(vertex_count)  # rejects k > 6 before the 2**k layout is built
     weight = {s: w for s, w, _ in simplex_layout(vertex_count)}
     mask = 0
     for s in {tuple(sorted(s)) for s in simplices}:
@@ -99,13 +187,13 @@ def canonical_form(vertex_count: int, simplices: Iterable[Iterable[int]]) -> Sim
                 f"simplex {s} is not a set of at least two distinct labels in [0, {vertex_count})"
             )
         mask |= weight[s]
-    return _key(vertex_count, _max_mask(tables, mask))
+    return _key(vertex_count, _canonical_mask(vertex_count, mask))
 
 
 def canonical_key(simplet: Simplet) -> SimpletTypeKey:
     """Canonical key of a simplet, invariant under vertex relabeling of the host."""
     k = len(simplet.vertices)
-    return _key(k, _max_mask(_tables(k), simplet.mask()))
+    return _key(k, _canonical_mask(k, simplet.mask()))
 
 
 @dataclass(frozen=True)

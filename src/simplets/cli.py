@@ -335,10 +335,15 @@ def cmd_gen(args) -> int:
 def cmd_bench(args) -> int:
     catalog = generate_catalog(args.m)
     samples = required_samples(args.epsilon, args.delta, args.c)
+    for size in args.sizes:
+        if args.avg_degree > size - 1:
+            raise InputError(
+                f"--avg-degree {args.avg_degree} exceeds n - 1 = {size - 1} for size {size}"
+            )
     rows = ["n,edges,max_degree,diameter,burn_in,samples,seconds"]
     with _output(args.output) as handle:  # an unwritable path fails before the sweep
         for index, size in enumerate(args.sizes):
-            p_edge = min(1.0, args.avg_degree / (size - 1))
+            p_edge = args.avg_degree / (size - 1)
             spec = GenSpec(args.model, size, p_edge, args.p_tri, args.p_tet, args.seed + index)
             complex_, _kept = largest_connected_restriction(generate(spec))
             diameter = skeleton_diameter(complex_)

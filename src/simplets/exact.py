@@ -1,13 +1,14 @@
 """Exact simplet enumeration and the exact SFD vector.
 
-The enumeration walks connected vertex sets of the 1-skeleton using
-extension candidates restricted to ids above the root vertex, so every
+One recursion, ``_esu``, walks the connected vertex sets of the 1-skeleton
+using extension candidates restricted to ids above the root vertex, so every
 connected subset appears exactly once without a global seen-set (the ESU
 scheme of Wernicke, TCBB 2006).  It carries each subset's simplex mask, over
 the positions in insertion order, from parent to child: adding a vertex tests
-only the simplices that end at its position.  Exact counting memoises the
-catalog index on ``(size, mask)``, so the classifier runs once per distinct
-position-labelled mask instead of once per subset.
+only the simplices that end at its position and whose other vertices it
+neighbours.  The recursion tallies the subsets per ``(size, mask)``, so exact
+counting runs the classifier once per distinct position-labelled mask instead
+of once per subset; enumeration collects the subsets root by root.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .catalog import SimpletCatalog, TypeClassifier
 from .complexes import Simplet, SimplicialComplex, simplex_layout
@@ -89,62 +90,110 @@ def sfd_from_counts(
 
 
 @functools.cache
-def _position_layout(m: int) -> tuple[tuple[tuple, tuple], ...]:
-    """Per position j, the ``simplex_layout(m)`` entries whose last element is j:
-    ``((i, weight) per edge (i, j), (members, weight, faces) per larger subset)``."""
+def _attach_table(m: int) -> tuple[tuple[tuple[int, tuple], ...], ...]:
+    """Per position j < m and attach pattern a < 2 ** j, where bit p is set when
+    the vertex at j neighbours the vertex at position p: the summed weights of
+    the edges (p, j) under ``simplex_layout(m)``, and the ``(others, weight,
+    faces)`` of each larger layout entry that ends at j and whose other
+    members all lie in the pattern.  No other entry ending at j can be a
+    simplex, since a simplex's vertices are pairwise adjacent."""
     layout = simplex_layout(m)
     return tuple(
-        (
-            tuple((s[0], w) for s, w, _ in layout if len(s) == 2 and s[1] == j),
-            tuple((s, w, faces) for s, w, faces in layout if len(s) > 2 and s[-1] == j),
+        tuple(
+            (
+                sum(w for s, w, _ in layout if len(s) == 2 and s[1] == j and a >> s[0] & 1),
+                tuple(
+                    (s[:-1], w, faces)
+                    for s, w, faces in layout
+                    if len(s) > 2 and s[-1] == j and all(a >> p & 1 for p in s[:-1])
+                ),
+            )
+            for a in range(1 << j)
         )
         for j in range(m)
     )
 
 
-def _grow(complex_: SimplicialComplex, m: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Yield ``(sub, mask)`` for every connected vertex set of size 2..m.
+def _esu(
+    complex_: SimplicialComplex,
+    m: int,
+    roots: Iterable[int],
+    found: list[tuple[int, ...]] | None = None,
+) -> tuple[list[dict[int, int]], list[dict[int, tuple[int, ...]]]]:
+    """Tally every connected vertex set of size 2..m whose least vertex is in ``roots``.
 
-    ``sub`` lists the vertices in insertion order and ``mask`` is the simplex
-    mask of the position-labelled sub under ``simplex_layout(m)``; a k-vertex
-    sub sets only bits of subsets of ``range(k)``.  Adding the vertex at
-    position j tests only the layout entries whose last element is j: edges
-    from the adjacency, then a larger subset through the facet incidence only
-    when all of its faces are present, as ``Simplet.mask()`` does.
+    A set of size k found in insertion order ``sub`` has the simplex mask of
+    the position-labelled ``sub`` under ``simplex_layout(m)``, which sets only
+    bits of subsets of ``range(k)``.  Returns ``(tallies, reps)``:
+    ``tallies[k]`` counts the k-sets per mask and ``reps[k]`` keeps the first
+    ``sub`` of each mask.  ``found``, when given, collects every set as a
+    sorted tuple.
+
+    Each extension candidate carries its attach pattern over ``sub`` (bit p
+    set when it neighbours position p), kept up to date as ``sub`` grows.
+    Adding it at position j looks the pattern up in ``_attach_table(m)``: the
+    edges it brings, then only the larger simplices it can close, each taken
+    when all of its faces are present and its vertices share a facet, as
+    ``Simplet.mask()`` does.
     """
-    if m < 2:
-        raise InputError(f"m must be at least 2, got {m}")
     adj = complex_.adjacency
     incidence = complex_._incidence
-    positions = _position_layout(m)
+    table = _attach_table(m)
+    tallies: list[dict[int, int]] = [{} for _ in range(m + 1)]
+    reps: list[dict[int, tuple[int, ...]]] = [{} for _ in range(m + 1)]
 
     def extend(
-        root: int, sub: tuple[int, ...], mask: int, ext: list[int], closed: frozenset[int]
-    ) -> Iterator[tuple[tuple[int, ...], int]]:
-        edges, larger = positions[len(sub)]
-        stop = len(sub) + 1 >= m
+        root: int,
+        sub: tuple[int, ...],
+        incs: tuple[frozenset[int], ...],
+        mask: int,
+        ext: list[int],
+        pats: list[int],
+        closed: frozenset[int],
+    ) -> None:
+        j = len(sub)
+        patterns = table[j]
+        tally = tallies[j + 1]
+        rep = reps[j + 1]
+        leaf = j + 1 == m
+        bit = 1 << j
         for i, w in enumerate(ext):
-            new_sub = sub + (w,)
-            nbrs = adj[w]
-            new_mask = mask
-            for p, weight in edges:
-                if sub[p] in nbrs:
-                    new_mask |= weight
-            for members, weight, faces in larger:
-                if new_mask & faces == faces and frozenset.intersection(
-                    *[incidence[new_sub[p]] for p in members]
+            edges, larger = patterns[pats[i]]
+            new_mask = mask | edges
+            for others, weight, faces in larger:
+                if new_mask & faces == faces and incidence[w].intersection(
+                    *[incs[p] for p in others]
                 ):
                     new_mask |= weight
-            yield new_sub, new_mask
-            if stop:
+            count = tally.get(new_mask)
+            if count is None:
+                tally[new_mask] = 1
+                rep[new_mask] = sub + (w,)
+            else:
+                tally[new_mask] = count + 1
+            if found is not None:
+                found.append(tuple(sorted(sub + (w,))))
+            if leaf:
                 continue
-            new_ext = ext[i + 1 :] + [u for u in nbrs if u > root and u not in closed]
-            yield from extend(root, new_sub, new_mask, new_ext, closed | nbrs)
+            nbrs = adj[w]
+            fresh = [u for u in nbrs if u > root and u not in closed]
+            extend(
+                root,
+                sub + (w,),
+                incs + (incidence[w],),
+                new_mask,
+                ext[i + 1 :] + fresh,
+                [a | bit if u in nbrs else a for u, a in zip(ext[i + 1 :], pats[i + 1 :])]
+                + [bit] * len(fresh),
+                closed | nbrs,
+            )
 
-    for root in range(complex_.vertex_count):
+    for root in roots:
         ext0 = sorted(u for u in adj[root] if u > root)
         if ext0:
-            yield from extend(root, (root,), 0, ext0, adj[root] | {root})
+            extend(root, (root,), (incidence[root],), 0, ext0, [1] * len(ext0),
+                   adj[root] | {root})
+    return tallies, reps
 
 
 def enumerate_connected_subsets(
@@ -152,30 +201,34 @@ def enumerate_connected_subsets(
 ) -> Iterator[tuple[int, ...]]:
     """Yield every vertex set of size 2..m whose induced skeleton is connected.
 
-    Each subset is produced exactly once, as a sorted tuple.  The order
-    follows the adjacency sets' iteration order, so it may differ between
-    copies of a complex; the set of subsets, and hence every count, does not.
+    Each subset is produced exactly once, as a sorted tuple, root by root in
+    increasing order of its least vertex.  Within a root the order follows
+    the adjacency sets' iteration order, so it may differ between copies of a
+    complex; the set of subsets, and hence every count, does not.
     """
-    for sub, _mask in _grow(complex_, m):
-        yield tuple(sorted(sub))
+    if m < 2:
+        raise InputError(f"m must be at least 2, got {m}")
+    for root in range(complex_.vertex_count):
+        found: list[tuple[int, ...]] = []
+        _esu(complex_, m, (root,), found)
+        yield from found
 
 
 def exact_counts(complex_: SimplicialComplex, catalog: SimpletCatalog) -> SFDVector:
     """Exact per-type simplet counts and frequencies over the given catalog.
 
-    Subsets that share a position-labelled mask share a type, so the
-    classifier runs once per distinct ``(size, mask)``.
+    One enumeration pass tallies the subsets per ``(size, mask)``.  Subsets
+    that share a position-labelled mask share a type, so the classifier runs
+    once per distinct ``(size, mask)``, on its first subset.
     """
+    m = catalog.m
+    tallies, reps = _esu(complex_, m, range(complex_.vertex_count))
     classifier = TypeClassifier(catalog)
-    type_of: dict[tuple[int, int], int] = {}
     counts = [0] * len(catalog)
-    for sub, mask in _grow(complex_, catalog.m):
-        key = (len(sub), mask)
-        index = type_of.get(key)
-        if index is None:
-            index = classifier.index_of(Simplet(complex_, tuple(sorted(sub))))
-            type_of[key] = index
-        counts[index] += 1
+    for size in range(2, m + 1):
+        for mask, count in tallies[size].items():
+            sub = tuple(sorted(reps[size][mask]))
+            counts[classifier.index_of(Simplet(complex_, sub))] += count
     if sum(counts) == 0:
         raise StructuralError("complex has no simplets: the 1-skeleton has no edges")
-    return sfd_from_counts(counts, catalog.m, mode="exact")
+    return sfd_from_counts(counts, m, mode="exact")

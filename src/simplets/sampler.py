@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+import sys
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import and_
@@ -202,8 +203,11 @@ def burn_in_steps(
         diameter = skeleton_diameter(complex_).value
     n = complex_.vertex_count
     raw = c_mix * math.log(max(n, 3)) * complex_.max_degree * diameter * diameter
-    if not math.isfinite(raw):
-        raise InputError(f"the burn-in for c_mix={c_mix} is not a finite number of steps")
+    if not raw <= sys.maxsize:  # no range of steps can be longer
+        raise InputError(
+            f"the burn-in for c_mix={c_mix} is {raw:.3g} steps, more than any walk "
+            f"can take ({sys.maxsize})"
+        )
     return max(1, math.ceil(raw))
 
 

@@ -172,3 +172,9 @@ def test_mcmc_guarantee_small_complex(catalog3):
         if linf_distance(empirical_sfd(draws, catalog3), exact) > epsilon:
             failures += 1
     assert failures / trials <= delta + 2 * math.sqrt(delta * (1 - delta) / trials)
+
+
+def test_sample_bound_beyond_any_run_is_rejected():
+    # finite, but more samples than a list can hold
+    with pytest.raises(InputError, match="more than any run can draw"):
+        required_samples(0.4, 0.1, 1e300)

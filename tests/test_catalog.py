@@ -17,6 +17,7 @@ from simplets import (
 )
 
 from simplets import catalog as catalog_module
+from simplets.complexes import simplex_layout
 from simplets.cli import main
 
 from . import oracles
@@ -126,6 +127,51 @@ def test_canonical_form_equals_tuple_sort_minimum():
             for perm in sample:
                 key = canonical_form(k, relabeled(simplices, perm))
                 assert key.simplices == expected
+
+
+def relabeled_mask(key, perm):
+    weight = {s: w for s, w, _ in simplex_layout(key.vertex_count)}
+    return sum(weight[s] for s in relabeled(key.simplices, perm))
+
+
+def check_refined_search_is_brute_force(keys, relabelings, seed):
+    rng = random.Random(seed)
+    for key in keys:
+        k = key.vertex_count
+        tables = catalog_module._tables(k)
+        for _ in range(relabelings):
+            perm = list(range(k))
+            rng.shuffle(perm)
+            mask = relabeled_mask(key, perm)
+            assert catalog_module._canonical_mask(k, mask) == catalog_module._max_mask(
+                tables, mask
+            ), (key, perm)
+
+
+def has_complete_skeleton(key):
+    k = key.vertex_count
+    return sum(len(s) == 2 for s in key.simplices) == k * (k - 1) // 2
+
+
+def test_refined_search_equals_brute_force_up_to_m5(catalog5):
+    check_refined_search_is_brute_force(catalog5.keys, relabelings=4, seed=47)
+
+
+def test_refined_search_equals_brute_force_sampled_m6():
+    # complete skeletons take the all-tables fallback; sample both kinds
+    rng = random.Random(53)
+    six = [key for key in generate_catalog(6).keys if key.vertex_count == 6]
+    complete = [key for key in six if has_complete_skeleton(key)]
+    others = [key for key in six if not has_complete_skeleton(key)]
+    assert len(complete) == 7751 and len(others) == 8191
+    sample = rng.sample(others, 150) + rng.sample(complete, 40)
+    check_refined_search_is_brute_force(sample, relabelings=2, seed=59)
+
+
+@pytest.mark.slow
+def test_refined_search_equals_brute_force_every_m6_type():
+    six = [key for key in generate_catalog(6).keys if key.vertex_count == 6]
+    check_refined_search_is_brute_force(six, relabelings=1, seed=61)
 
 
 def test_catalog_m5_is_pinned():

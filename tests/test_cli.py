@@ -331,3 +331,26 @@ def test_closed_stdout_ends_output_quietly():
     _, stderr = proc.communicate(timeout=60)
     assert proc.returncode == 0
     assert stderr == b""
+
+
+def test_bench_average_degree_above_size_is_input_error(capsys, monkeypatch):
+    def no_generate(*args):
+        raise AssertionError("a complex was generated before the degree was checked")
+
+    monkeypatch.setattr("simplets.cli.generate", no_generate)
+    code, out, err = run(capsys, ["bench", "--sizes", "14", "--avg-degree", "1e300", "--m", "3"])
+    assert code == 3
+    assert out == "" and err.startswith("input error:") and "size 14" in err
+
+
+@pytest.mark.parametrize("flag", ["--c", "--c-mix"])
+def test_bound_beyond_any_run_is_input_error(capsys, tmp_path, monkeypatch, flag):
+    # finite bounds too large for any run fail at once instead of sampling
+    def no_sampling(*args):
+        raise AssertionError("sampling began")
+
+    monkeypatch.setattr("simplets.sampler.SimpletSampler.sample", no_sampling)
+    path = write_triangle(tmp_path)
+    code, out, err = run(capsys, ["approx", "--input", path, "--m", "3", flag, "1e300"])
+    assert code == 3
+    assert out == "" and err.startswith("input error:")

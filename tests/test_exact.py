@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +8,7 @@ from simplets import (
     GenSpec,
     InputError,
     StructuralError,
+    TypeClassifier,
     build_complex,
     enumerate_connected_subsets,
     exact_counts,
@@ -17,6 +19,8 @@ from simplets import (
 
 from . import oracles
 from .conftest import random_complexes
+
+BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_enumeration_filled_triangle(filled_triangle):
@@ -96,6 +100,36 @@ def test_exact_counts_match_naive_oracle(catalog3, catalog4, catalog5):
         assert list(exact_counts(complex_, catalog6).counts) == (
             oracles.classify_counts(complex_, catalog6)
         )
+
+
+def test_exact_counts_classify_once_per_distinct_mask(monkeypatch, catalog5):
+    complex_ = generate(GenSpec("flag", 30, 8 / 29, seed=24))
+    classified = []
+    index_of = TypeClassifier.index_of
+
+    def counting_index_of(self, simplet):
+        classified.append(simplet.vertices)
+        return index_of(self, simplet)
+
+    monkeypatch.setattr(TypeClassifier, "index_of", counting_index_of)
+    sfd = exact_counts(complex_, catalog5)
+    # 185 distinct (size, position-labelled mask) keys on this input
+    assert len(classified) == 185
+    assert sum(sfd.counts) == len(list(enumerate_connected_subsets(complex_, 5))) == 35_595
+
+
+def test_exact_counts_equal_the_benchmark_references(monkeypatch, catalog5):
+    # the pinned exact-m5 inputs and reference counts, read from the
+    # benchmark without editing it
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    import workloads
+
+    workload = workloads.WORKLOADS["exact-m5"]
+    entries = workloads.load_pins(smoke=False)["exact-m5"]["entries"]
+    assert len(entries) == 10
+    for entry in entries:
+        complex_, _text = workloads.make_input(workload, entry["gen_seed"])
+        assert list(exact_counts(complex_, catalog5).counts) == entry["reference"]["counts"]
 
 
 def test_exact_counts_permutation_invariant(catalog5):

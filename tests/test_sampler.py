@@ -498,3 +498,9 @@ def test_star_has_six_uniform_states():
     tallies = Counter(sampler.sample().vertices for _ in range(draws))
     for state in states:
         assert abs(tallies[state] / draws - 1 / 6) <= 0.02
+
+
+def test_burn_in_beyond_any_walk_is_rejected(filled_triangle):
+    # finite, but more steps than a range can hold
+    with pytest.raises(InputError, match="more than any walk can take"):
+        burn_in_steps(filled_triangle, 1e300)
