@@ -5,7 +5,6 @@ simplet sampling, and (epsilon, delta)-approximate SFD estimation.
 """
 
 from .approx import (
-    ApproxParams,
     approximate_sfd,
     empirical_sfd,
     linf_distance,
@@ -44,7 +43,6 @@ from .sampler import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ApproxParams",
     "DiameterEstimate",
     "GenSpec",
     "InputError",

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .catalog import SimpletCatalog, TypeClassifier
@@ -21,7 +20,6 @@ from .sampler import SimpletSampler, WalkConfig, _check_positive
 
 __all__ = [
     "DEFAULT_VC_CONSTANT",
-    "ApproxParams",
     "required_samples",
     "empirical_sfd",
     "approximate_sfd",
@@ -34,21 +32,6 @@ __all__ = [
 DEFAULT_VC_CONSTANT = 0.5
 
 _VC_DIMENSION = 1  # the type sets partition the domain
-
-
-@dataclass(frozen=True)
-class ApproxParams:
-    """Accuracy/confidence targets plus the walk configuration.
-
-    ``required_samples`` validates the targets and ``c``."""
-
-    epsilon: float
-    delta: float
-    c: float = DEFAULT_VC_CONSTANT
-    walk: WalkConfig = field(default_factory=lambda: WalkConfig(m=4))
-
-    def __post_init__(self) -> None:
-        required_samples(self.epsilon, self.delta, self.c)
 
 
 def required_samples(epsilon: float, delta: float, c: float = DEFAULT_VC_CONSTANT) -> int:
@@ -82,20 +65,21 @@ def empirical_sfd(samples: Sequence[Simplet], catalog: SimpletCatalog) -> SFDVec
 def approximate_sfd(
     complex_: SimplicialComplex,
     catalog: SimpletCatalog,
-    params: ApproxParams,
+    epsilon: float,
+    delta: float,
+    c: float = DEFAULT_VC_CONSTANT,
+    seed: int = 0,
+    c_mix: float = 1.0,
 ) -> SFDVector:
     """(epsilon, delta)-approximate SFD vector via uniform MCMC simplet sampling.
 
-    Draws ``required_samples(params.epsilon, params.delta, params.c)`` simplets
-    with the configured walk, seeded by ``params.walk.rng_seed``, and averages
-    their type indicators.
+    Draws ``required_samples(epsilon, delta, c)`` simplets with at most
+    ``catalog.m`` vertices from one walk seeded by ``seed``, whose burn-in
+    ``c_mix`` scales, and averages their type indicators.  Bad constants
+    raise ``InputError`` before the walk is set up.
     """
-    if params.walk.m != catalog.m:
-        raise InputError(
-            f"walk samples simplets up to m={params.walk.m} but the catalog covers m={catalog.m}"
-        )
-    count = required_samples(params.epsilon, params.delta, params.c)
-    sampler = SimpletSampler(complex_, params.walk)
+    count = required_samples(epsilon, delta, c)
+    sampler = SimpletSampler(complex_, WalkConfig(m=catalog.m, c_mix=c_mix, rng_seed=seed))
     samples = [sampler.sample() for _ in range(count)]
     return empirical_sfd(samples, catalog)
 

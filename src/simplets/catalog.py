@@ -17,6 +17,7 @@ was made by; regenerate the file (about 25 s) with::
 
 from __future__ import annotations
 
+import functools
 import heapq
 import os
 from dataclasses import dataclass, field
@@ -42,23 +43,20 @@ MAX_CATALOG_VERTICES = 6
 _CATALOG_DATA = os.path.join(os.path.dirname(__file__), "catalog_masks.txt")
 _CATALOG_SIZES = {2: 1, 3: 4, 4: 18, 5: 175, 6: 16117}
 
-_TABLES: dict[int, tuple[tuple[int, ...], ...]] = {}
 
-
+@functools.cache
 def _tables(k: int) -> tuple[tuple[int, ...], ...]:
     """One weight table per permutation of ``range(k)``: entry ``b`` is the
     weight that the subset of weight ``2 ** b`` is relabeled to."""
-    if k not in _TABLES:
-        if k > MAX_CATALOG_VERTICES:
-            raise InputError(
-                f"canonicalization supports at most {MAX_CATALOG_VERTICES} vertices, got {k}"
-            )
-        weight = {s: w for s, w, _ in simplex_layout(k)}
-        _TABLES[k] = tuple(
-            tuple(weight[tuple(sorted(perm[v] for v in s))] for s in reversed(weight))
-            for perm in permutations(range(k))
+    if k > MAX_CATALOG_VERTICES:
+        raise InputError(
+            f"canonicalization supports at most {MAX_CATALOG_VERTICES} vertices, got {k}"
         )
-    return _TABLES[k]
+    weight = {s: w for s, w, _ in simplex_layout(k)}
+    return tuple(
+        tuple(weight[tuple(sorted(perm[v] for v in s))] for s in reversed(weight))
+        for perm in permutations(range(k))
+    )
 
 
 def _bits(mask: int) -> list[int]:
@@ -74,23 +72,19 @@ def _max_mask(tables: Iterable[Sequence[int]], mask: int) -> int:
     return max(sum(map(table.__getitem__, bits)) for table in tables)
 
 
-_ORDER_TABLES: dict[int, tuple[tuple[tuple[int, int, int], ...], int, dict]] = {}
-
-
+@functools.cache
 def _order_tables(k: int) -> tuple[tuple[tuple[int, int, int], ...], int, dict]:
     """``(u, v, weight)`` per edge of ``simplex_layout(k)``, the mask of all
     edges, and the weight table of each labelling keyed by its vertex order
     (the vertex that gets label 0 first)."""
-    if k not in _ORDER_TABLES:
-        edges = tuple((s[0], s[1], w) for s, w, _ in simplex_layout(k) if len(s) == 2)
-        by_order = {}
-        for perm, table in zip(permutations(range(k)), _tables(k)):
-            order = [0] * k
-            for v, label in enumerate(perm):
-                order[label] = v
-            by_order[tuple(order)] = table
-        _ORDER_TABLES[k] = (edges, sum(w for _, _, w in edges), by_order)
-    return _ORDER_TABLES[k]
+    edges = tuple((s[0], s[1], w) for s, w, _ in simplex_layout(k) if len(s) == 2)
+    by_order = {}
+    for perm, table in zip(permutations(range(k)), _tables(k)):
+        order = [0] * k
+        for v, label in enumerate(perm):
+            order[label] = v
+        by_order[tuple(order)] = table
+    return edges, sum(w for _, _, w in edges), by_order
 
 
 def _edge_maximal_orders(k: int, rows: Sequence[int]) -> list[tuple[int, ...]]:
@@ -457,9 +451,9 @@ class TypeClassifier:
         self._cache: dict[tuple[int, int], int] = {}
 
     def index_of(self, simplet: Simplet) -> int:
-        local = (len(simplet.vertices), simplet.mask())
-        index = self._cache.get(local)
+        k, mask = len(simplet.vertices), simplet.mask()
+        index = self._cache.get((k, mask))
         if index is None:
-            index = self.catalog.index_of(canonical_key(simplet))
-            self._cache[local] = index
+            index = self.catalog.index_of(_key(k, _canonical_mask(k, mask)))
+            self._cache[k, mask] = index
         return index

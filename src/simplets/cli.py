@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import io
 import json
@@ -19,8 +18,8 @@ import os
 import sys
 import time
 
-from .approx import ApproxParams, approximate_sfd, linf_distance, required_samples
-from .catalog import SimpletCatalog, generate_catalog
+from .approx import approximate_sfd, linf_distance, required_samples
+from .catalog import generate_catalog
 from .complexes import SimplicialComplex, skeleton_diameter
 from .errors import InputError, IntegrityError, StructuralError
 from .exact import SFDVector, exact_counts
@@ -203,11 +202,12 @@ def cmd_approx(args) -> int:
     if args.largest_component:
         complex_, kept = largest_connected_restriction(complex_)
         labels = [labels[v] for v in kept]
-    skeleton_diameter(complex_)  # raises at once if disconnected, before the catalog
+    # Raises at once if disconnected, before the catalog.
+    burn_in = burn_in_steps(complex_, args.c_mix)
     catalog = generate_catalog(args.m)
-    walk = WalkConfig(m=args.m, c_mix=args.c_mix, rng_seed=args.seed)
-    params = ApproxParams(epsilon=args.epsilon, delta=args.delta, c=args.c, walk=walk)
-    sfd = approximate_sfd(complex_, catalog, params)
+    sfd = approximate_sfd(
+        complex_, catalog, args.epsilon, args.delta, args.c, seed=args.seed, c_mix=args.c_mix
+    )
     obj = _sfd_json(sfd, catalog)
     obj.update(
         {
@@ -215,21 +215,13 @@ def cmd_approx(args) -> int:
             "delta": args.delta,
             "c": args.c,
             "samples": sfd.total,
-            "burn_in": burn_in_steps(complex_, args.c_mix),
+            "burn_in": burn_in,
             "seed": args.seed,
             "labels": labels,
         }
     )
     _print_json(obj)
     return EXIT_OK
-
-
-def _run_trial(
-    complex_: SimplicialComplex, catalog: SimpletCatalog, params: ApproxParams, exact: SFDVector, seed: int
-) -> float:
-    """L-infinity error of one seeded ``approx`` run against the exact oracle."""
-    params = dataclasses.replace(params, walk=dataclasses.replace(params.walk, rng_seed=seed))
-    return linf_distance(approximate_sfd(complex_, catalog, params), exact)
 
 
 def _complex_from_args(args) -> tuple[SimplicialComplex, dict]:
@@ -260,7 +252,7 @@ def cmd_validate(args) -> int:
     complex_, origin = _complex_from_args(args)
     diameter = skeleton_diameter(complex_)  # raises at once if disconnected, before the catalog
     # A bad bound fails here, before exact counting.
-    params = ApproxParams(args.epsilon, args.delta, args.c, WalkConfig(m=args.m, c_mix=args.c_mix))
+    samples = required_samples(args.epsilon, args.delta, args.c)
     burn_in = burn_in_steps(complex_, args.c_mix)
     catalog = generate_catalog(args.m)
 
@@ -268,8 +260,11 @@ def cmd_validate(args) -> int:
     exact = exact_counts(complex_, catalog)
     exact_seconds = time.perf_counter() - t0
 
-    # Serial and pooled trials run this one context; each pool chunk pickles it.
-    trial = functools.partial(_run_trial, complex_, catalog, params, exact)
+    # Serial and pooled trials run this one context; each pool chunk pickles it,
+    # and the parent measures each trial's estimate against the exact oracle.
+    trial = functools.partial(
+        approximate_sfd, complex_, catalog, args.epsilon, args.delta, args.c, c_mix=args.c_mix
+    )
     seeds = [args.seed * 1_000_003 + index for index in range(args.trials)]
     t0 = time.perf_counter()
     workers = min(args.threads, args.trials)  # the pool starts every worker at once
@@ -278,10 +273,11 @@ def cmd_validate(args) -> int:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            errors = list(pool.map(trial, seeds, chunksize=max(1, args.trials // (4 * workers))))
+            estimates = list(pool.map(trial, seeds, chunksize=max(1, args.trials // (4 * workers))))
     else:
-        errors = list(map(trial, seeds))
+        estimates = list(map(trial, seeds))
     sampling_seconds = time.perf_counter() - t0
+    errors = [linf_distance(estimate, exact) for estimate in estimates]
 
     failures = sum(1 for e in errors if e > args.epsilon)
     threshold = args.delta + 2.0 * math.sqrt(args.delta * (1.0 - args.delta) / args.trials)
@@ -301,7 +297,7 @@ def cmd_validate(args) -> int:
                 "delta": args.delta,
                 "c": args.c,
                 "c_mix": args.c_mix,
-                "samples_per_trial": required_samples(args.epsilon, args.delta, args.c),
+                "samples_per_trial": samples,
                 "burn_in": burn_in,
                 "trials": args.trials,
                 "seed": args.seed,

@@ -7,8 +7,8 @@ scheme of Wernicke, TCBB 2006).  It carries each subset's simplex mask, over
 the positions in insertion order, from parent to child: adding a vertex tests
 only the simplices that end at its position and whose other vertices it
 neighbours.  The recursion tallies the subsets per ``(size, mask)``, so exact
-counting runs the classifier once per distinct position-labelled mask instead
-of once per subset; enumeration collects the subsets root by root.
+counting classifies each distinct position-labelled mask once instead of each
+subset; enumeration collects the subsets root by root.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .catalog import SimpletCatalog, TypeClassifier
-from .complexes import Simplet, SimplicialComplex, simplex_layout
+from .catalog import SimpletCatalog, canonical_form
+from .complexes import SimplicialComplex, decode_mask, simplex_layout
 from .errors import InputError, StructuralError
 
 __all__ = [
@@ -119,15 +119,14 @@ def _esu(
     m: int,
     roots: Iterable[int],
     found: list[tuple[int, ...]] | None = None,
-) -> tuple[list[dict[int, int]], list[dict[int, tuple[int, ...]]]]:
+) -> list[dict[int, int]]:
     """Tally every connected vertex set of size 2..m whose least vertex is in ``roots``.
 
     A set of size k found in insertion order ``sub`` has the simplex mask of
     the position-labelled ``sub`` under ``simplex_layout(m)``, which sets only
-    bits of subsets of ``range(k)``.  Returns ``(tallies, reps)``:
-    ``tallies[k]`` counts the k-sets per mask and ``reps[k]`` keeps the first
-    ``sub`` of each mask.  ``found``, when given, collects every set as a
-    sorted tuple.
+    bits of subsets of ``range(k)``.  Returns ``tallies``, where
+    ``tallies[k]`` counts the k-sets per mask.  ``found``, when given,
+    collects every set as a sorted tuple.
 
     Each extension candidate carries its attach pattern over ``sub`` (bit p
     set when it neighbours position p), kept up to date as ``sub`` grows.
@@ -140,7 +139,6 @@ def _esu(
     incidence = complex_._incidence
     table = _attach_table(m)
     tallies: list[dict[int, int]] = [{} for _ in range(m + 1)]
-    reps: list[dict[int, tuple[int, ...]]] = [{} for _ in range(m + 1)]
 
     def extend(
         root: int,
@@ -154,7 +152,6 @@ def _esu(
         j = len(sub)
         patterns = table[j]
         tally = tallies[j + 1]
-        rep = reps[j + 1]
         leaf = j + 1 == m
         bit = 1 << j
         for i, w in enumerate(ext):
@@ -165,12 +162,7 @@ def _esu(
                     *[incs[p] for p in others]
                 ):
                     new_mask |= weight
-            count = tally.get(new_mask)
-            if count is None:
-                tally[new_mask] = 1
-                rep[new_mask] = sub + (w,)
-            else:
-                tally[new_mask] = count + 1
+            tally[new_mask] = tally.get(new_mask, 0) + 1
             if found is not None:
                 found.append(tuple(sorted(sub + (w,))))
             if leaf:
@@ -193,7 +185,7 @@ def _esu(
         if ext0:
             extend(root, (root,), (incidence[root],), 0, ext0, [1] * len(ext0),
                    adj[root] | {root})
-    return tallies, reps
+    return tallies
 
 
 def enumerate_connected_subsets(
@@ -218,17 +210,15 @@ def exact_counts(complex_: SimplicialComplex, catalog: SimpletCatalog) -> SFDVec
     """Exact per-type simplet counts and frequencies over the given catalog.
 
     One enumeration pass tallies the subsets per ``(size, mask)``.  Subsets
-    that share a position-labelled mask share a type, so the classifier runs
-    once per distinct ``(size, mask)``, on its first subset.
+    that share a position-labelled mask share a type, so each distinct
+    ``(size, mask)`` is classified once, from the mask alone.
     """
     m = catalog.m
-    tallies, reps = _esu(complex_, m, range(complex_.vertex_count))
-    classifier = TypeClassifier(catalog)
+    tallies = _esu(complex_, m, range(complex_.vertex_count))
     counts = [0] * len(catalog)
     for size in range(2, m + 1):
         for mask, count in tallies[size].items():
-            sub = tuple(sorted(reps[size][mask]))
-            counts[classifier.index_of(Simplet(complex_, sub))] += count
+            counts[catalog.index_of(canonical_form(size, decode_mask(m, mask)))] += count
     if sum(counts) == 0:
         raise StructuralError("complex has no simplets: the 1-skeleton has no edges")
     return sfd_from_counts(counts, m, mode="exact")

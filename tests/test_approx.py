@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from simplets import (
-    ApproxParams,
     InputError,
     Simplet,
     SimpletSampler,
@@ -20,6 +19,7 @@ from simplets import (
     required_samples,
     sfd_from_counts,
 )
+from simplets import approx as approx_module
 
 
 def test_required_samples_reference_values():
@@ -54,13 +54,25 @@ def test_required_samples_rejects_out_of_range(eps, delta, c):
         required_samples(eps, delta, c)
 
 
-def test_approx_params_validation():
+@pytest.fixture
+def no_sampler(monkeypatch):
+    """Fail the test if ``approximate_sfd`` builds a sampler."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sampler was built before the constants were checked")
+
+    monkeypatch.setattr(approx_module, "SimpletSampler", refuse)
+
+
+def test_approx_params_validation(filled_triangle, catalog3, no_sampler):
     with pytest.raises(InputError):
-        ApproxParams(epsilon=1.2, delta=0.1)
+        approximate_sfd(filled_triangle, catalog3, epsilon=1.2, delta=0.1)
     with pytest.raises(InputError):
-        ApproxParams(epsilon=0.1, delta=0.0)
+        approximate_sfd(filled_triangle, catalog3, epsilon=0.1, delta=0.0)
     with pytest.raises(InputError):
-        ApproxParams(epsilon=0.1, delta=0.1, c=-1)
+        approximate_sfd(filled_triangle, catalog3, epsilon=0.1, delta=0.1, c=-1)
+    with pytest.raises(InputError):
+        approximate_sfd(filled_triangle, catalog3, epsilon=0.1, delta=0.1, c_mix=0.0)
 
 
 @pytest.mark.parametrize("eps, delta, c", [
@@ -69,11 +81,13 @@ def test_approx_params_validation():
     (1e-200, 0.1, 0.5),  # epsilon squared underflows to zero
     (0.1, 5e-324, 0.5),  # 1 / delta overflows
 ])
-def test_non_finite_constants_and_bounds_are_rejected(eps, delta, c):
+def test_non_finite_constants_and_bounds_are_rejected(
+    eps, delta, c, filled_triangle, catalog3, no_sampler
+):
     with pytest.raises(InputError):
         required_samples(eps, delta, c)
     with pytest.raises(InputError):
-        ApproxParams(epsilon=eps, delta=delta, c=c)
+        approximate_sfd(filled_triangle, catalog3, epsilon=eps, delta=delta, c=c)
 
 
 def test_empirical_sfd_indicator_average(filled_triangle, catalog3):
@@ -110,23 +124,15 @@ def test_distances_reject_mismatched_m(catalog3, catalog4):
 
 
 def test_approximate_sfd_deterministic(filled_triangle, catalog3):
-    params = ApproxParams(0.1, 0.1, 0.5, WalkConfig(m=3, c_mix=3.0, rng_seed=5))
-    one = approximate_sfd(filled_triangle, catalog3, params)
-    two = approximate_sfd(filled_triangle, catalog3, params)
+    one = approximate_sfd(filled_triangle, catalog3, 0.1, 0.1, 0.5, seed=5, c_mix=3.0)
+    two = approximate_sfd(filled_triangle, catalog3, 0.1, 0.1, 0.5, seed=5, c_mix=3.0)
     assert one == two
     assert one.total == 166
 
 
-def test_approximate_sfd_m_mismatch(filled_triangle, catalog4):
-    params = ApproxParams(0.1, 0.1, 0.5, WalkConfig(m=3))
-    with pytest.raises(InputError):
-        approximate_sfd(filled_triangle, catalog4, params)
-
-
 def test_approximate_sfd_close_to_exact(triangle_with_pendant, catalog3):
     exact = exact_counts(triangle_with_pendant, catalog3)
-    params = ApproxParams(0.1, 0.1, 0.5, WalkConfig(m=3, c_mix=4.0, rng_seed=11))
-    approx = approximate_sfd(triangle_with_pendant, catalog3, params)
+    approx = approximate_sfd(triangle_with_pendant, catalog3, 0.1, 0.1, 0.5, seed=11, c_mix=4.0)
     assert linf_distance(approx, exact) <= 0.1
 
 

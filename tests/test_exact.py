@@ -8,14 +8,15 @@ from simplets import (
     GenSpec,
     InputError,
     StructuralError,
-    TypeClassifier,
     build_complex,
+    canonical_form,
     enumerate_connected_subsets,
     exact_counts,
     generate,
     generate_catalog,
     sfd_from_counts,
 )
+from simplets import exact as exact_module
 
 from . import oracles
 from .conftest import random_complexes
@@ -105,13 +106,12 @@ def test_exact_counts_match_naive_oracle(catalog3, catalog4, catalog5):
 def test_exact_counts_classify_once_per_distinct_mask(monkeypatch, catalog5):
     complex_ = generate(GenSpec("flag", 30, 8 / 29, seed=24))
     classified = []
-    index_of = TypeClassifier.index_of
 
-    def counting_index_of(self, simplet):
-        classified.append(simplet.vertices)
-        return index_of(self, simplet)
+    def counting_canonical_form(vertex_count, simplices):
+        classified.append(vertex_count)
+        return canonical_form(vertex_count, simplices)
 
-    monkeypatch.setattr(TypeClassifier, "index_of", counting_index_of)
+    monkeypatch.setattr(exact_module, "canonical_form", counting_canonical_form)
     sfd = exact_counts(complex_, catalog5)
     # 185 distinct (size, position-labelled mask) keys on this input
     assert len(classified) == 185

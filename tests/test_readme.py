@@ -1,0 +1,14 @@
+"""The README's code examples run against the current package."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_library_example_runs(capsys):
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Library\n", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, f"{README}:Library", "exec"), {})
+    assert float(capsys.readouterr().out) <= 1.0

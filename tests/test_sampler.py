@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from simplets import (
-    ApproxParams,
     GenSpec,
     InputError,
     IntegrityError,
@@ -260,8 +259,7 @@ def test_seeded_stream_is_pinned(triangle_with_pendant, catalog3):
         (0, 2), (0, 1, 2), (0, 1, 2), (0, 2), (0, 1, 2), (0, 2), (0, 1, 2), (1, 2, 3), (2, 3),
         (0, 1),
     ]
-    params = ApproxParams(0.2, 0.1, 0.5, WalkConfig(m=3, rng_seed=7))
-    sfd = approximate_sfd(triangle_with_pendant, catalog3, params)
+    sfd = approximate_sfd(triangle_with_pendant, catalog3, 0.2, 0.1, 0.5, seed=7)
     assert sfd.counts == (25, 11, 0, 6)
     assert sfd.frequencies == (
         0.5952380952380952, 0.2619047619047619, 0.0, 0.14285714285714285,
@@ -288,11 +286,10 @@ def test_seeded_output_survives_pickling_and_copying(catalog3):
     spec = GenSpec("lm", 20, 0.3, p_tri=0.7, p_tet=0.7, seed=0)
     complex_ = largest_connected_restriction(generate(spec)).complex
     copies = [pickle.loads(pickle.dumps(complex_)), copy.deepcopy(complex_)]
-    params = ApproxParams(0.1, 0.1, 0.5, WalkConfig(m=3, rng_seed=0))
-    expected = approximate_sfd(complex_, catalog3, params)
+    expected = approximate_sfd(complex_, catalog3, 0.1, 0.1, 0.5, seed=0)
     for other in copies:
         assert other.edges() == complex_.edges()
-        assert approximate_sfd(other, catalog3, params) == expected
+        assert approximate_sfd(other, catalog3, 0.1, 0.1, 0.5, seed=0) == expected
 
 
 def test_caches_stay_within_cap_without_changing_the_stream(monkeypatch):
