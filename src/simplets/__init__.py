@@ -28,7 +28,7 @@ from .complexes import (
     skeleton_diameter,
 )
 from .errors import InputError, IntegrityError, SimpletsError, StructuralError
-from .exact import SFDVector, enumerate_connected_subsets, exact_counts, sfd_from_counts
+from .exact import SFDVector, enumerate_connected_subsets, exact_counts
 from .generate import GenSpec, generate, largest_connected_restriction
 from .io import load_complex, read_facets, write_facets
 from .sampler import (
@@ -74,7 +74,6 @@ __all__ = [
     "load_complex",
     "read_facets",
     "required_samples",
-    "sfd_from_counts",
     "skeleton_diameter",
     "state_degree",
     "state_neighbors",

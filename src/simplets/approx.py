@@ -15,7 +15,7 @@ from typing import Sequence
 from .catalog import SimpletCatalog, TypeClassifier
 from .complexes import Simplet, SimplicialComplex
 from .errors import InputError
-from .exact import SFDVector, sfd_from_counts
+from .exact import SFDVector
 from .sampler import SimpletSampler, WalkConfig, _check_positive
 
 __all__ = [
@@ -59,7 +59,7 @@ def empirical_sfd(samples: Sequence[Simplet], catalog: SimpletCatalog) -> SFDVec
     counts = [0] * len(catalog)
     for simplet in samples:
         counts[classifier.index_of(simplet)] += 1
-    return sfd_from_counts(counts, catalog.m, mode="approx")
+    return SFDVector(catalog.m, counts, mode="approx")
 
 
 def approximate_sfd(

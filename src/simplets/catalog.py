@@ -45,18 +45,24 @@ _CATALOG_SIZES = {2: 1, 3: 4, 4: 18, 5: 175, 6: 16117}
 
 
 @functools.cache
-def _tables(k: int) -> tuple[tuple[int, ...], ...]:
-    """One weight table per permutation of ``range(k)``: entry ``b`` is the
-    weight that the subset of weight ``2 ** b`` is relabeled to."""
+def _tables(k: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """One weight table per relabeling of ``range(k)``, keyed by its vertex
+    order (the vertex that gets label 0 first): entry ``b`` is the weight
+    that the subset of weight ``2 ** b`` is relabeled to."""
     if k > MAX_CATALOG_VERTICES:
         raise InputError(
             f"canonicalization supports at most {MAX_CATALOG_VERTICES} vertices, got {k}"
         )
     weight = {s: w for s, w, _ in simplex_layout(k)}
-    return tuple(
-        tuple(weight[tuple(sorted(perm[v] for v in s))] for s in reversed(weight))
-        for perm in permutations(range(k))
-    )
+    tables = {}
+    for perm in permutations(range(k)):
+        order = [0] * k
+        for v, label in enumerate(perm):
+            order[label] = v
+        tables[tuple(order)] = tuple(
+            weight[tuple(sorted(perm[v] for v in s))] for s in reversed(weight)
+        )
+    return tables
 
 
 def _bits(mask: int) -> list[int]:
@@ -73,18 +79,11 @@ def _max_mask(tables: Iterable[Sequence[int]], mask: int) -> int:
 
 
 @functools.cache
-def _order_tables(k: int) -> tuple[tuple[tuple[int, int, int], ...], int, dict]:
-    """``(u, v, weight)`` per edge of ``simplex_layout(k)``, the mask of all
-    edges, and the weight table of each labelling keyed by its vertex order
-    (the vertex that gets label 0 first)."""
+def _edges(k: int) -> tuple[tuple[tuple[int, int, int], ...], int]:
+    """``(u, v, weight)`` per edge of ``simplex_layout(k)``, and the mask of
+    all edges."""
     edges = tuple((s[0], s[1], w) for s, w, _ in simplex_layout(k) if len(s) == 2)
-    by_order = {}
-    for perm, table in zip(permutations(range(k)), _tables(k)):
-        order = [0] * k
-        for v, label in enumerate(perm):
-            order[label] = v
-        by_order[tuple(order)] = table
-    return edges, sum(w for _, _, w in edges), by_order
+    return edges, sum(w for _, _, w in edges)
 
 
 def _edge_maximal_orders(k: int, rows: Sequence[int]) -> list[tuple[int, ...]]:
@@ -140,16 +139,16 @@ def _canonical_mask(k: int, mask: int) -> int:
     """
     tables = _tables(k)
     if k <= 4:
-        return _max_mask(tables, mask)
-    edges, all_edges, by_order = _order_tables(k)
+        return _max_mask(tables.values(), mask)
+    edges, all_edges = _edges(k)
     if mask & all_edges == all_edges:
-        return _max_mask(tables, mask)
+        return _max_mask(tables.values(), mask)
     rows = [0] * k
     for u, v, w in edges:
         if mask & w:
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-    return _max_mask([by_order[order] for order in _edge_maximal_orders(k, rows)], mask)
+    return _max_mask(map(tables.__getitem__, _edge_maximal_orders(k, rows)), mask)
 
 
 @dataclass(frozen=True, order=True)
@@ -268,7 +267,7 @@ def _connected_graph_classes(k: int) -> list[int]:
     Grown by single-edge augmentation from spanning trees, which reaches every
     connected spanning graph.
     """
-    tables = _tables(k)
+    tables = _tables(k).values()
     weight = {s: w for s, w, _ in simplex_layout(k)}
     edge_weights = [w for s, w in weight.items() if len(s) == 2]
     classes: set[int] = set()
@@ -380,7 +379,7 @@ def _fillings(
 def _classes_for_vertex_count(k: int) -> list[SimpletTypeKey]:
     masks: set[int] = set()
     for edges in _connected_graph_classes(k):
-        auts = _stabilizer(_tables(k), edges)
+        auts = _stabilizer(_tables(k).values(), edges)
         results: list[int] = []
         _fillings(k, 3, edges, auts, results)
         # The skeleton is already canonical, so minimizing over Aut(G)

@@ -329,7 +329,6 @@ def cmd_gen(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    catalog = generate_catalog(args.m)
     samples = required_samples(args.epsilon, args.delta, args.c)
     for size in args.sizes:
         if args.avg_degree > size - 1:

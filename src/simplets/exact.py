@@ -14,9 +14,8 @@ subset; enumeration collects the subsets root by root.
 from __future__ import annotations
 
 import functools
-import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 from .catalog import SimpletCatalog, canonical_form
 from .complexes import SimplicialComplex, decode_mask, simplex_layout
@@ -26,7 +25,6 @@ __all__ = [
     "SFDVector",
     "enumerate_connected_subsets",
     "exact_counts",
-    "sfd_from_counts",
 ]
 
 
@@ -34,59 +32,39 @@ __all__ = [
 class SFDVector:
     """Simplet frequency distribution over the catalog order.
 
-    ``frequencies`` is a length-N_m vector in [0, 1] summing to 1; ``counts``
-    carries the raw per-type tallies when the vector came from counting or
-    sampling.
+    Holds the per-type ``counts`` of a counting or sampling run, which must be
+    nonnegative and not all zero.  ``total`` is their sum and ``frequencies``
+    the counts divided by it, a length-N_m vector in [0, 1] summing to 1.
     """
 
     catalog_m: int
-    frequencies: tuple[float, ...]
-    counts: tuple[int, ...] | None = None
-    total: int | None = None
+    counts: tuple[int, ...]
     mode: str = "exact"
+    total: int = field(init=False, compare=False)
+    frequencies: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if any(f < 0.0 or f > 1.0 for f in self.frequencies):
-            raise InputError("frequencies must lie in [0, 1]")
-        if not math.isclose(sum(self.frequencies), 1.0, rel_tol=0.0, abs_tol=1e-9):
-            raise InputError("frequencies must sum to 1")
-        if self.counts is not None:
-            if len(self.counts) != len(self.frequencies):
-                raise InputError("counts and frequencies must have equal length")
-            if self.total != sum(self.counts):
-                raise InputError("total must equal the sum of counts")
+        counts = tuple(int(c) for c in self.counts)
+        if any(c < 0 for c in counts):
+            raise InputError("counts must be nonnegative")
+        total = sum(counts)
+        if total == 0:
+            raise InputError("cannot normalize an all-zero count vector")
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "frequencies", tuple(c / total for c in counts))
 
     def __len__(self) -> int:
-        return len(self.frequencies)
+        return len(self.counts)
 
     def to_json_obj(self) -> dict:
-        obj: dict = {
+        return {
             "m": self.catalog_m,
             "frequencies": list(self.frequencies),
             "mode": self.mode,
+            "counts": list(self.counts),
+            "total": self.total,
         }
-        if self.counts is not None:
-            obj["counts"] = list(self.counts)
-            obj["total"] = self.total
-        return obj
-
-
-def sfd_from_counts(
-    counts: Sequence[int], catalog_m: int, mode: str = "exact"
-) -> SFDVector:
-    """Normalize nonnegative integer counts into an SFD vector."""
-    if any(c < 0 for c in counts):
-        raise InputError("counts must be nonnegative")
-    total = sum(counts)
-    if total == 0:
-        raise InputError("cannot normalize an all-zero count vector")
-    return SFDVector(
-        catalog_m=catalog_m,
-        frequencies=tuple(c / total for c in counts),
-        counts=tuple(int(c) for c in counts),
-        total=total,
-        mode=mode,
-    )
 
 
 @functools.cache
@@ -133,7 +111,8 @@ def _esu(
     Adding it at position j looks the pattern up in ``_attach_table(m)``: the
     edges it brings, then only the larger simplices it can close, each taken
     when all of its faces are present and its vertices share a facet, as
-    ``Simplet.mask()`` does.
+    ``Simplet.mask()`` does: the other vertices are read from ``sub`` and
+    their facet sets from the complex's incidence.
     """
     adj = complex_.adjacency
     incidence = complex_._incidence
@@ -143,7 +122,6 @@ def _esu(
     def extend(
         root: int,
         sub: tuple[int, ...],
-        incs: tuple[frozenset[int], ...],
         mask: int,
         ext: list[int],
         pats: list[int],
@@ -159,7 +137,7 @@ def _esu(
             new_mask = mask | edges
             for others, weight, faces in larger:
                 if new_mask & faces == faces and incidence[w].intersection(
-                    *[incs[p] for p in others]
+                    *[incidence[sub[p]] for p in others]
                 ):
                     new_mask |= weight
             tally[new_mask] = tally.get(new_mask, 0) + 1
@@ -172,7 +150,6 @@ def _esu(
             extend(
                 root,
                 sub + (w,),
-                incs + (incidence[w],),
                 new_mask,
                 ext[i + 1 :] + fresh,
                 [a | bit if u in nbrs else a for u, a in zip(ext[i + 1 :], pats[i + 1 :])]
@@ -183,8 +160,7 @@ def _esu(
     for root in roots:
         ext0 = sorted(u for u in adj[root] if u > root)
         if ext0:
-            extend(root, (root,), (incidence[root],), 0, ext0, [1] * len(ext0),
-                   adj[root] | {root})
+            extend(root, (root,), 0, ext0, [1] * len(ext0), adj[root] | {root})
     return tallies
 
 
@@ -221,4 +197,4 @@ def exact_counts(complex_: SimplicialComplex, catalog: SimpletCatalog) -> SFDVec
             counts[catalog.index_of(canonical_form(size, decode_mask(m, mask)))] += count
     if sum(counts) == 0:
         raise StructuralError("complex has no simplets: the 1-skeleton has no edges")
-    return sfd_from_counts(counts, m, mode="exact")
+    return SFDVector(m, counts)

@@ -75,18 +75,25 @@ def write_facets(
 ) -> None:
     """Write the facets of a complex, one per line.
 
-    Vertices outside every facet are written as singleton lines so the vertex
-    count round-trips through the format.
+    Labels go in vertex-id order, except that each line starts with its
+    first label that does not begin with ``#``, so that no facet reads back
+    as a comment; a facet whose labels all begin with ``#`` raises
+    ``InputError``.  Vertices outside every facet are written as singleton
+    lines so the vertex count round-trips through the format.
     """
     if labels is not None and len(labels) != complex_.vertex_count:
         raise InputError("labels must cover every vertex")
 
-    def name(v: int) -> str:
-        return labels[v] if labels is not None else str(v)
+    def line(facet: Iterable[int]) -> str:
+        names = [labels[v] if labels is not None else str(v) for v in sorted(facet)]
+        for i, first in enumerate(names):
+            if not first.startswith("#"):
+                return " ".join([first, *names[:i], *names[i + 1:]])
+        raise InputError(f"cannot write facet {names}: every label starts a '#' comment")
 
-    lines = [" ".join(name(v) for v in sorted(facet)) for facet in complex_.facets]
+    lines = [line(facet) for facet in complex_.facets]
     covered = {v for facet in complex_.facets for v in facet}
-    lines.extend(name(v) for v in range(complex_.vertex_count) if v not in covered)
+    lines.extend(line((v,)) for v in range(complex_.vertex_count) if v not in covered)
 
     if isinstance(destination, (str, Path)):
         with open(destination, "w", encoding="utf-8") as handle:

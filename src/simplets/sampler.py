@@ -84,15 +84,16 @@ class _MoveTable(dict):
     position.  ``removable`` lists the positions whose removal keeps the state
     connected, ``parts[u]`` the component masks of the state without u.  A
     vertex with attach mask a can replace u when a meets every part of
-    ``parts[u]``; ``swap`` maps a to those positions and the table maps it to
-    them as packed ``field``-bit fields, both filled on first lookup."""
+    ``parts[u]``; the table maps a to those positions as packed ``field``-bit
+    fields, filled on first lookup, so bit ``field * u`` of its entry is set
+    when it can replace u."""
 
-    __slots__ = ("removable", "parts", "swap", "field", "mask")
+    __slots__ = ("removable", "parts", "field", "mask")
 
     def __init__(self, nb: tuple[int, ...], field: int):
         super().__init__()
         k = len(nb)
-        self.parts, self.swap = [], {}
+        self.parts = []
         self.field, self.mask = field, (1 << field) - 1
         for u in range(k):
             rest, parts = ((1 << k) - 1) ^ (1 << u), []
@@ -109,12 +110,10 @@ class _MoveTable(dict):
         self.removable = [u for u, parts in enumerate(self.parts) if len(parts) == 1 and k > 2]
 
     def __missing__(self, attach: int) -> int:
-        swap = packed = 0
+        packed = 0
         for u, parts in enumerate(self.parts):
             if all(part & attach for part in parts):
-                swap |= 1 << u
                 packed |= 1 << (self.field * u)
-        self.swap[attach] = swap
         self[attach] = packed
         return packed
 
@@ -160,7 +159,7 @@ def _neighbor(state: State, expansion: tuple, index: int) -> State:
         if index < count:
             if u not in picks:  # the outside neighbours whose swap positions include u
                 picks[u] = sorted(compress(attach, map(
-                    and_, map(table.swap.__getitem__, attach.values()), repeat(1 << u))))
+                    and_, map(table.__getitem__, attach.values()), repeat(1 << field * u))))
             return tuple(sorted(state[:u] + state[u + 1:] + (picks[u][index],)))
         index -= count
     raise IntegrityError("neighbor index out of range; degree bookkeeping is broken")

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from simplets import (
     InputError,
+    SFDVector,
     Simplet,
     SimpletSampler,
     WalkConfig,
@@ -17,7 +18,6 @@ from simplets import (
     induced_subcomplex,
     linf_distance,
     required_samples,
-    sfd_from_counts,
 )
 from simplets import approx as approx_module
 
@@ -107,18 +107,18 @@ def test_empirical_sfd_rejects_empty(catalog3):
 
 
 def test_distances_reference_values():
-    a = sfd_from_counts((3, 1), 2)
+    a = SFDVector(2, (3, 1))
     assert linf_distance(a, a) == 0.0
-    b = sfd_from_counts((1, 0), 2)
-    c = sfd_from_counts((0, 1), 2)
+    b = SFDVector(2, (1, 0))
+    c = SFDVector(2, (0, 1))
     assert linf_distance(b, c) == 1.0
-    d = sfd_from_counts((1, 1), 2)
+    d = SFDVector(2, (1, 1))
     assert linf_distance(a, d) == pytest.approx(0.25)
 
 
 def test_distances_reject_mismatched_m(catalog3, catalog4):
-    a = sfd_from_counts([1] * len(catalog3), 3)
-    b = sfd_from_counts([1] * len(catalog4), 4)
+    a = SFDVector(3, [1] * len(catalog3))
+    b = SFDVector(4, [1] * len(catalog4))
     with pytest.raises(InputError):
         linf_distance(a, b)
 

@@ -50,6 +50,19 @@ def test_exact_output_schema_and_values(capsys, tmp_path):
     assert obj["labels"] == ["0", "1", "2"]
 
 
+def test_exact_and_approx_key_order(capsys, tmp_path):
+    path = write_triangle(tmp_path)
+    sfd_keys = ["m", "frequencies", "mode", "counts", "total", "catalog"]
+    code, out, _ = run(capsys, ["exact", "--input", path, "--m", "3"])
+    assert code == 0
+    assert list(json.loads(out)) == sfd_keys + ["labels"]
+    code, out, _ = run(capsys, ["approx", "--input", path, "--m", "3", "--epsilon", "0.5"])
+    assert code == 0
+    assert list(json.loads(out)) == sfd_keys + [
+        "epsilon", "delta", "c", "samples", "burn_in", "seed", "labels"
+    ]
+
+
 def test_exact_roundtrips_identically(capsys, tmp_path):
     path = write_triangle(tmp_path)
     code, out, _ = run(capsys, ["exact", "--input", path, "--m", "4"])

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from simplets import (
     GenSpec,
     InputError,
+    SFDVector,
     StructuralError,
     build_complex,
     canonical_form,
@@ -14,7 +15,6 @@ from simplets import (
     exact_counts,
     generate,
     generate_catalog,
-    sfd_from_counts,
 )
 from simplets import exact as exact_module
 
@@ -164,26 +164,26 @@ def test_total_count_monotone_under_facet_addition(catalog4):
         ((1, 1, 1, 1), (0.25, 0.25, 0.25, 0.25)),
     ],
 )
-def test_sfd_from_counts_examples(counts, expected):
-    sfd = sfd_from_counts(counts, catalog_m=3)
+def test_sfd_vector_examples(counts, expected):
+    sfd = SFDVector(3, counts)
     assert sfd.frequencies == expected
     assert sfd.total == sum(counts)
 
 
-def test_sfd_from_counts_rejects_bad_input():
+def test_sfd_vector_rejects_bad_input():
     with pytest.raises(InputError):
-        sfd_from_counts((0, 0, 0), catalog_m=3)
+        SFDVector(3, (0, 0, 0))
     with pytest.raises(InputError):
-        sfd_from_counts((1, -1, 2), catalog_m=3)
+        SFDVector(3, (1, -1, 2))
 
 
 @given(st.lists(st.integers(min_value=0, max_value=10**9), min_size=1, max_size=30))
-def test_sfd_from_counts_properties(counts):
+def test_sfd_vector_properties(counts):
     if sum(counts) == 0:
         with pytest.raises(InputError):
-            sfd_from_counts(counts, catalog_m=4)
+            SFDVector(4, counts)
         return
-    sfd = sfd_from_counts(counts, catalog_m=4)
+    sfd = SFDVector(4, counts)
     assert abs(sum(sfd.frequencies) - 1.0) <= 1e-12
     assert all(f >= 0 for f in sfd.frequencies)
     total = sum(counts)

@@ -78,3 +78,21 @@ def test_write_with_labels(tmp_path):
     assert "c d" in lines
     with pytest.raises(InputError):
         write_facets(io.StringIO(), complex_, ["too", "short"])
+
+
+def test_roundtrip_keeps_facets_whose_first_label_starts_with_hash():
+    complex_, labels = load_complex(io.StringIO("x #a\ny #a\n"))
+    assert complex_.vertex_count == 3
+    out = io.StringIO()
+    write_facets(out, complex_, labels)
+    assert out.getvalue() == "x #a\ny #a\n"
+    loaded, loaded_labels = load_complex(io.StringIO(out.getvalue()))
+    assert loaded.vertex_count == 3
+    named = {frozenset(labels[v] for v in f) for f in complex_.facets}
+    assert {frozenset(loaded_labels[v] for v in f) for f in loaded.facets} == named
+
+
+def test_write_rejects_a_facet_of_hash_labels_only():
+    complex_, _ = load_complex(io.StringIO("x #a\ny #a\n"))
+    with pytest.raises(InputError, match="#"):
+        write_facets(io.StringIO(), complex_, ["x", "#a", "#y"])
