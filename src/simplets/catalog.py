@@ -10,7 +10,7 @@ size, so that minimum is the relabeling with the largest simplex mask
 
 The catalog for m <= 6 is committed as package data (``catalog_masks.txt``)
 and ``generate_catalog`` reads it.  The generator below is the reference it
-was made by; regenerate the file (about 25 s) with::
+was made by; regenerate the file (about 30 s on a 2-vCPU VM) with::
 
     PYTHONPATH=src python -c 'from simplets import catalog; catalog._write_catalog_data()'
 """
@@ -313,41 +313,25 @@ def _slot_permutations(
 
 
 def _orbit_reps(num_slots: int, slot_perms: Sequence[tuple[int, ...]]) -> Iterator[int]:
-    """Bitmasks over ``num_slots`` slots that are minimal in their orbit."""
+    """Bitmasks over ``num_slots`` slots that are minimal in their orbit.
+
+    The scan is vectorised: each chunk of masks is mapped under every
+    nontrivial permutation by one matrix product, and a mask is kept when no
+    image is smaller.  Masks come out in increasing order.
+    """
     total = 1 << num_slots
     nontrivial = [p for p in slot_perms if p != tuple(range(num_slots))]
     if not nontrivial:
         yield from range(total)
         return
-    if total * len(nontrivial) > 2_000_000:
-        yield from _orbit_reps_bulk(num_slots, nontrivial)
-        return
-    shifted = [[1 << p[i] for i in range(num_slots)] for p in nontrivial]
-    for mask in range(total):
-        minimal = True
-        for bits in shifted:
-            mapped = 0
-            rest = mask
-            while rest:
-                low = rest & -rest
-                mapped |= bits[low.bit_length() - 1]
-                rest ^= low
-            if mapped < mask:
-                minimal = False
-                break
-        if minimal:
-            yield mask
-    return
-
-
-def _orbit_reps_bulk(num_slots: int, slot_perms: Sequence[tuple[int, ...]]) -> Iterator[int]:
-    """Vectorized orbit-minimality scan for large slot counts or groups."""
     import numpy as np
 
-    total = 1 << num_slots
     chunk = 1 << 15
-    weight_cols = np.empty((num_slots, len(slot_perms)), dtype=np.float64)
-    for j, p in enumerate(slot_perms):
+    # float64 is exact here: a fill level has at most C(6, 3) = 20 slots, so
+    # each slot weight is a power of two below 2**20 and every image sum is
+    # an integer below 2**53.
+    weight_cols = np.empty((num_slots, len(nontrivial)), dtype=np.float64)
+    for j, p in enumerate(nontrivial):
         for i in range(num_slots):
             weight_cols[i, j] = float(1 << p[i])
     for start in range(0, total, chunk):

@@ -19,7 +19,7 @@ import sys
 import time
 
 from .approx import approximate_sfd, linf_distance, required_samples
-from .catalog import generate_catalog
+from .catalog import MAX_CATALOG_VERTICES, generate_catalog
 from .complexes import SimplicialComplex, skeleton_diameter
 from .errors import InputError, IntegrityError, StructuralError
 from .exact import SFDVector, exact_counts
@@ -28,7 +28,6 @@ from .io import load_complex, write_facets
 from .sampler import SimpletSampler, WalkConfig, burn_in_steps
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_STRUCTURAL = 4
 EXIT_INTERNAL = 5
@@ -72,10 +71,14 @@ def _sizes(text: str) -> list[int]:
     return values
 
 
-def _add_accuracy_flags(parser: argparse.ArgumentParser) -> None:
+def _add_sampling_flags(parser: argparse.ArgumentParser) -> None:
+    """The sampling options that approx, validate and bench share."""
+    parser.add_argument("--m", type=int, choices=range(3, MAX_CATALOG_VERTICES + 1), required=True)
     parser.add_argument("--epsilon", type=_open_unit, default=0.1, help="accuracy target in (0,1)")
     parser.add_argument("--delta", type=_open_unit, default=0.1, help="failure probability in (0,1)")
     parser.add_argument("--c", type=_positive_float, default=0.5, help="sample-bound constant")
+    parser.add_argument("--c-mix", type=_positive_float, default=1.0, help="burn-in scale factor")
+    parser.add_argument("--seed", type=int, default=0)
 
 
 def _add_gen_flags(parser: argparse.ArgumentParser, required: bool) -> None:
@@ -92,20 +95,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact and sampling-based simplet frequency distributions of simplicial complexes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    catalog_m = range(2, MAX_CATALOG_VERTICES + 1)
 
     p_catalog = sub.add_parser("catalog", help="print the simplet type catalog as JSON")
-    p_catalog.add_argument("--m", type=int, choices=range(2, 7), required=True)
+    p_catalog.add_argument("--m", type=int, choices=catalog_m, required=True)
 
     p_exact = sub.add_parser("exact", help="exact SFD vector of a facet file")
     p_exact.add_argument("--input", required=True, help="facet file path")
-    p_exact.add_argument("--m", type=int, choices=range(2, 7), required=True)
+    p_exact.add_argument("--m", type=int, choices=catalog_m, required=True)
 
     p_approx = sub.add_parser("approx", help="approximate SFD vector via MCMC sampling")
     p_approx.add_argument("--input", required=True, help="facet file path")
-    p_approx.add_argument("--m", type=int, choices=range(3, 7), required=True)
-    _add_accuracy_flags(p_approx)
-    p_approx.add_argument("--c-mix", type=_positive_float, default=1.0, help="burn-in scale factor")
-    p_approx.add_argument("--seed", type=int, default=0)
+    _add_sampling_flags(p_approx)
     p_approx.add_argument("--largest-component", action="store_true",
                           help="restrict to the largest connected component first")
 
@@ -113,11 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_validate.add_argument("--input", help="facet file path (alternative to --model)")
     _add_gen_flags(p_validate, required=False)
     p_validate.add_argument("--gen-seed", type=int, default=0, help="generator seed")
-    p_validate.add_argument("--m", type=int, choices=range(3, 7), required=True)
-    _add_accuracy_flags(p_validate)
-    p_validate.add_argument("--c-mix", type=_positive_float, default=1.0, help="burn-in scale factor")
+    _add_sampling_flags(p_validate)
     p_validate.add_argument("--trials", type=_positive_int, default=200)
-    p_validate.add_argument("--seed", type=int, default=0)
     p_validate.add_argument("--threads", type=_positive_int, default=1)
     p_validate.add_argument("--largest-component", action="store_true")
 
@@ -134,10 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--model", choices=("flag", "lm"), default="flag")
     p_bench.add_argument("--p-tri", type=_probability, default=0.0)
     p_bench.add_argument("--p-tet", type=_probability, default=0.0)
-    p_bench.add_argument("--m", type=int, choices=range(3, 7), required=True)
-    _add_accuracy_flags(p_bench)
-    p_bench.add_argument("--c-mix", type=_positive_float, default=1.0)
-    p_bench.add_argument("--seed", type=int, default=0)
+    _add_sampling_flags(p_bench)
     p_bench.add_argument("--output", default="-", help="CSV path, '-' for stdout")
     return parser
 

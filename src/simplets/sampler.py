@@ -127,7 +127,11 @@ def _expand(adj: Sequence[frozenset[int]], state: State, m: int) -> tuple:
     """``(degree, adds, attach, table, swaps, picks)`` of a state: ``attach`` maps
     each outside neighbour to its attach mask, all of which may be added below
     m vertices (``adds``), ``swaps`` packs the swap count of every position, and
-    ``picks`` keeps each position's sorted replacements once decoded."""
+    ``picks`` keeps each position's sorted replacements once decoded.  The
+    state memo keeps the expansions of states the walk has entered, and on a
+    small state space the walk enters those states again and again, so
+    ``picks`` spares their decodes: without it a step on the criterion-7
+    complex costs about twice as much, while large inputs see no change."""
     attach = dict.fromkeys(adj[state[0]], 1)
     bit = 2
     for v in state[1:]:

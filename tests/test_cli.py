@@ -8,7 +8,10 @@ from pathlib import Path
 import pytest
 
 from simplets import exact_counts, generate_catalog, load_complex, required_samples
-from simplets.cli import main
+from simplets.catalog import MAX_CATALOG_VERTICES
+from simplets.cli import build_parser, main
+
+SAMPLING_COMMANDS = ("approx", "validate", "bench")
 
 
 def run(capsys, argv):
@@ -32,10 +35,67 @@ def test_catalog_sizes(capsys):
     assert len(json.loads(out)) == 1
 
 
-def test_catalog_m_out_of_range_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["catalog", "--m", "9"])
-    assert excinfo.value.code == 2
+def _m_argv(command, tmp_path, m):
+    """A full argv for ``command`` in which only ``--m`` can be wrong."""
+    if command == "catalog":
+        rest = []
+    elif command == "bench":
+        rest = ["--sizes", "14", "--avg-degree", "5"]
+    else:
+        rest = ["--input", write_triangle(tmp_path)]
+    return [command, *rest, "--m", str(m)]
+
+
+@pytest.mark.parametrize("command", ["catalog", "exact", "approx", "validate", "bench"])
+def test_catalog_m_out_of_range_is_usage_error(capsys, tmp_path, command):
+    parser = build_parser()
+    parser.parse_args(_m_argv(command, tmp_path, MAX_CATALOG_VERTICES))
+    too_small = [2] if command in SAMPLING_COMMANDS else []
+    for m in [MAX_CATALOG_VERTICES + 1, *too_small]:
+        with pytest.raises(SystemExit) as excinfo:
+            parser.parse_args(_m_argv(command, tmp_path, m))
+        assert excinfo.value.code == 2
+        assert "--m: invalid choice" in capsys.readouterr().err
+
+
+def test_sampling_commands_share_defaults(tmp_path):
+    parser = build_parser()
+    shared = ("epsilon", "delta", "c", "c_mix", "seed")
+    defaults = [
+        {name: getattr(parser.parse_args(_m_argv(command, tmp_path, 3)), name) for name in shared}
+        for command in SAMPLING_COMMANDS
+    ]
+    assert defaults == [{"epsilon": 0.1, "delta": 0.1, "c": 0.5, "c_mix": 1.0, "seed": 0}] * 3
+
+
+def test_no_command_imports_numpy(tmp_path):
+    # numpy adds about 12 MB to a process's peak RSS; only the catalog generator,
+    # which no command runs, may load it.
+    facets = tmp_path / "facets.txt"
+    facets.write_text("0 1 2\n2 3\n3 4 5\n")
+    script = f"""
+import contextlib, io, sys
+from simplets.cli import main
+path = {str(facets)!r}
+argvs = [
+    ["catalog", "--m", "4"],
+    ["exact", "--input", path, "--m", "4"],
+    ["approx", "--input", path, "--m", "3", "--epsilon", "0.5"],
+    ["validate", "--input", path, "--m", "3", "--epsilon", "0.5", "--trials", "2",
+     "--threads", "1"],
+    ["gen", "--model", "flag", "--n", "12", "--p-edge", "0.3"],
+    ["bench", "--sizes", "14", "--avg-degree", "5", "--m", "3", "--epsilon", "0.5"],
+]
+for argv in argvs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+assert "numpy" not in sys.modules, "a command imported numpy"
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_exact_output_schema_and_values(capsys, tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from simplets import (
     GenSpec,
     InputError,
+    build_complex,
     generate,
     load_complex,
     read_facets,
@@ -96,3 +97,23 @@ def test_write_rejects_a_facet_of_hash_labels_only():
     complex_, _ = load_complex(io.StringIO("x #a\ny #a\n"))
     with pytest.raises(InputError, match="#"):
         write_facets(io.StringIO(), complex_, ["x", "#a", "#y"])
+
+
+@pytest.mark.parametrize(
+    "labels, bad",
+    [
+        (["a b", "y", ""], "a b"),  # would read back as one triangle on three vertices
+        (["x", "y z", "w"], "y z"),  # would read back as two triangles on four vertices
+    ],
+    ids=["spaced-and-empty", "spaced"],
+)
+def test_write_rejects_labels_that_do_not_read_back(tmp_path, labels, bad):
+    complex_ = build_complex([(0, 1), (1, 2)], 3)
+    out = io.StringIO()
+    with pytest.raises(InputError, match=repr(bad)):
+        write_facets(out, complex_, labels)
+    assert out.getvalue() == ""
+    path = tmp_path / "facets.txt"
+    with pytest.raises(InputError):
+        write_facets(path, complex_, labels)
+    assert not path.exists()
