@@ -9,19 +9,19 @@ size, so that minimum is the relabeling with the largest simplex mask
 (``complexes.simplex_layout``), and every search here runs on masks.
 
 The catalog for m <= 6 is committed as package data (``catalog_masks.txt``)
-and ``generate_catalog`` reads it.  The generator below is the reference it
-was made by; regenerate the file (about 30 s on a 2-vCPU VM) with::
+and ``generate_catalog`` reads it; this module only loads and classifies.
+The reference generator that made the file lives in the test suite;
+regenerate the file (about 25 s on a 2-vCPU VM) from a source checkout with::
 
-    PYTHONPATH=src python -c 'from simplets import catalog; catalog._write_catalog_data()'
+    PYTHONPATH=src python -m tests.catalog_reference
 """
 
 from __future__ import annotations
 
 import functools
-import heapq
 import os
 from dataclasses import dataclass, field
-from itertools import permutations, product
+from itertools import permutations
 from typing import Iterable, Iterator, Sequence
 
 from .complexes import Simplet, decode_mask, simplex_layout
@@ -224,170 +224,6 @@ class SimpletCatalog:
             {"k": key.vertex_count, "simplices": [list(s) for s in key.simplices]}
             for key in self.keys
         ]
-
-
-# --- catalog generation --------------------------------------------------
-#
-# Classes are enumerated skeleton-first.  Two complexes with non-isomorphic
-# 1-skeletons are never isomorphic, and once a skeleton is fixed in canonical
-# form, any isomorphism between two fillings of it is an automorphism of the
-# skeleton.  Fillings are therefore deduplicated orbit-wise under Aut(G),
-# level by level, and the final key equals the plain minimum over all k!
-# permutations because the (size, tuple) encoding order compares the edge
-# part first.
-
-
-def _labeled_trees(k: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """All labeled trees on k vertices, decoded from Pruefer sequences."""
-    if k == 2:
-        yield ((0, 1),)
-        return
-    for seq in product(range(k), repeat=k - 2):
-        degree = [1] * k
-        for v in seq:
-            degree[v] += 1
-        leaves = [v for v in range(k) if degree[v] == 1]
-        heapq.heapify(leaves)
-        edges = []
-        for v in seq:
-            leaf = heapq.heappop(leaves)
-            edges.append((leaf, v) if leaf < v else (v, leaf))
-            degree[v] -= 1
-            if degree[v] == 1:
-                heapq.heappush(leaves, v)
-        u = heapq.heappop(leaves)
-        w = heapq.heappop(leaves)
-        edges.append((u, w) if u < w else (w, u))
-        yield tuple(edges)
-
-
-def _connected_graph_classes(k: int) -> list[int]:
-    """Canonical edge masks of all connected spanning graphs on k vertices.
-
-    Grown by single-edge augmentation from spanning trees, which reaches every
-    connected spanning graph.
-    """
-    tables = _tables(k).values()
-    weight = {s: w for s, w, _ in simplex_layout(k)}
-    edge_weights = [w for s, w in weight.items() if len(s) == 2]
-    classes: set[int] = set()
-    frontier: set[int] = set()
-    for tree in _labeled_trees(k):
-        enc = _max_mask(tables, sum(weight[e] for e in tree))
-        if enc not in classes:
-            classes.add(enc)
-            frontier.add(enc)
-    while frontier:
-        next_frontier: set[int] = set()
-        for enc in frontier:
-            for w in edge_weights:
-                if enc & w:
-                    continue
-                enc2 = _max_mask(tables, enc | w)
-                if enc2 not in classes:
-                    classes.add(enc2)
-                    next_frontier.add(enc2)
-        frontier = next_frontier
-    return sorted(classes)
-
-
-def _stabilizer(tables: Iterable[Sequence[int]], mask: int) -> list[Sequence[int]]:
-    """The relabelings, as weight tables, that map the mask onto itself."""
-    bits = _bits(mask)
-    return [table for table in tables if sum(map(table.__getitem__, bits)) == mask]
-
-
-def _slot_permutations(
-    candidates: Sequence[int], auts: Sequence[Sequence[int]]
-) -> list[tuple[int, ...]]:
-    """Distinct permutations of candidate slots induced by the automorphisms."""
-    slot_of = {c: i for i, c in enumerate(candidates)}
-    seen = set()
-    maps = []
-    for table in auts:
-        slot_map = tuple(slot_of[table[c.bit_length() - 1]] for c in candidates)
-        if slot_map not in seen:
-            seen.add(slot_map)
-            maps.append(slot_map)
-    return maps
-
-
-def _orbit_reps(num_slots: int, slot_perms: Sequence[tuple[int, ...]]) -> Iterator[int]:
-    """Bitmasks over ``num_slots`` slots that are minimal in their orbit.
-
-    The scan is vectorised: each chunk of masks is mapped under every
-    nontrivial permutation by one matrix product, and a mask is kept when no
-    image is smaller.  Masks come out in increasing order.
-    """
-    total = 1 << num_slots
-    nontrivial = [p for p in slot_perms if p != tuple(range(num_slots))]
-    if not nontrivial:
-        yield from range(total)
-        return
-    import numpy as np
-
-    chunk = 1 << 15
-    # float64 is exact here: a fill level has at most C(6, 3) = 20 slots, so
-    # each slot weight is a power of two below 2**20 and every image sum is
-    # an integer below 2**53.
-    weight_cols = np.empty((num_slots, len(nontrivial)), dtype=np.float64)
-    for j, p in enumerate(nontrivial):
-        for i in range(num_slots):
-            weight_cols[i, j] = float(1 << p[i])
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        masks = np.arange(start, stop, dtype=np.int64)
-        bits = ((masks[:, None] >> np.arange(num_slots)[None, :]) & 1).astype(np.float64)
-        mapped = bits @ weight_cols
-        keep = np.all(mapped >= masks[:, None].astype(np.float64), axis=1)
-        for mask in masks[keep]:
-            yield int(mask)
-
-
-def _fillings(
-    k: int, size: int, chosen: int, auts: list[Sequence[int]], out: list[int]
-) -> None:
-    """Enumerate downward-closed extensions level by level, one rep per Aut-orbit."""
-    candidates = [
-        w for s, w, faces in simplex_layout(k) if len(s) == size and chosen & faces == faces
-    ]
-    if not candidates:
-        out.append(chosen)
-        return
-    slot_perms = _slot_permutations(candidates, auts)
-    for slots in _orbit_reps(len(candidates), slot_perms):
-        picked = sum(w for i, w in enumerate(candidates) if slots >> i & 1)
-        _fillings(k, size + 1, chosen | picked, _stabilizer(auts, picked), out)
-
-
-def _classes_for_vertex_count(k: int) -> list[SimpletTypeKey]:
-    masks: set[int] = set()
-    for edges in _connected_graph_classes(k):
-        auts = _stabilizer(_tables(k).values(), edges)
-        results: list[int] = []
-        _fillings(k, 3, edges, auts, results)
-        # The skeleton is already canonical, so minimizing over Aut(G)
-        # equals minimizing over all k! permutations.
-        masks.update(_max_mask(auts, mask) for mask in results)
-    return sorted(_key(k, mask) for mask in masks)
-
-
-def _generate_catalog(m: int) -> SimpletCatalog:
-    """The reference generator behind the committed catalog data."""
-    keys: list[SimpletTypeKey] = []
-    for k in range(2, m + 1):
-        keys.extend(_classes_for_vertex_count(k))
-    return SimpletCatalog(m, tuple(keys))
-
-
-def _write_catalog_data() -> None:
-    """Regenerate the committed catalog data from the reference generator."""
-    catalog = _generate_catalog(MAX_CATALOG_VERTICES)
-    weights = {k: {s: w for s, w, _ in simplex_layout(k)} for k in range(2, catalog.m + 1)}
-    with open(_CATALOG_DATA, "w", encoding="ascii") as out:
-        for key in catalog.keys:
-            mask = sum(weights[key.vertex_count][s] for s in key.simplices)
-            out.write(f"{key.vertex_count} {mask:x}\n")
 
 
 def generate_catalog(m: int) -> SimpletCatalog:

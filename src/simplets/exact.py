@@ -14,6 +14,7 @@ subset; enumeration collects the subsets root by root.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -33,7 +34,7 @@ class SFDVector:
     """Simplet frequency distribution over the catalog order.
 
     Holds the per-type ``counts`` of a counting or sampling run, which must be
-    nonnegative and not all zero.  ``total`` is their sum and ``frequencies``
+    nonnegative integers, not all zero.  ``total`` is their sum and ``frequencies``
     the counts divided by it, a length-N_m vector in [0, 1] summing to 1.
     """
 
@@ -44,7 +45,10 @@ class SFDVector:
     frequencies: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        counts = tuple(int(c) for c in self.counts)
+        try:
+            counts = tuple(map(operator.index, self.counts))
+        except TypeError as exc:
+            raise InputError(f"counts must be integers: {exc}") from None
         if any(c < 0 for c in counts):
             raise InputError("counts must be nonnegative")
         total = sum(counts)

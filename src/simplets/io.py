@@ -79,16 +79,21 @@ def write_facets(
     first label that does not begin with ``#``, so that no facet reads back
     as a comment; a facet whose labels all begin with ``#`` raises
     ``InputError``, and so does a label that is not one whitespace-free
-    token, since it would not read back as one vertex.  Vertices outside
+    token or that names two vertices, since it would not read back as one
+    vertex.  Vertices outside
     every facet are written as singleton lines so the vertex count
     round-trips through the format.  Nothing is written when it raises.
     """
     if labels is not None:
         if len(labels) != complex_.vertex_count:
             raise InputError("labels must cover every vertex")
+        seen = set()
         for label in labels:
             if label.split() != [label]:
                 raise InputError(f"cannot write label {label!r}: it is not one whitespace-free token")
+            if label in seen:
+                raise InputError(f"cannot write label {label!r}: it names two vertices")
+            seen.add(label)
 
     def line(facet: Iterable[int]) -> str:
         names = [labels[v] if labels is not None else str(v) for v in sorted(facet)]

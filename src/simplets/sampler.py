@@ -294,7 +294,9 @@ def transition_matrix(complex_: SimplicialComplex, m: int):
     """Explicit transition matrix over all states, for diagnostics and tests.
 
     Returns ``(states, T)`` with states sorted and ``T`` a dense numpy array.
-    Only usable on small complexes; the state count grows quickly.
+    Only usable on small complexes; the state count grows quickly.  It needs
+    numpy, which the package does not depend on (the ``test`` extra installs
+    it); nothing else in the package imports numpy.
     """
     import numpy as np
 

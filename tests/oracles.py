@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations, permutations
+from typing import Iterator
 
 from simplets import SimplicialComplex
 
@@ -155,41 +156,45 @@ def skeleton_connected(k: int, simplices) -> bool:
     return len(seen) == k
 
 
-def iso_class_count(k: int) -> int:
-    """Number of connected spanning complexes on k vertices up to isomorphism.
+def labeled_connected_complexes(k: int) -> Iterator[list[tuple[int, ...]]]:
+    """Every complex on the labels ``range(k)`` with a connected skeleton.
 
-    Labeled level-by-level enumeration deduplicated by pairwise permutation
-    search; independent of the catalog generator.  Intended for k <= 4.
+    Each connected edge set is filled level by level with every
+    downward-closed choice of higher simplices, so each labeled complex comes
+    out once, as its list of simplices of dimension >= 1.  Nothing is
+    canonicalized.
     """
     pairs = list(combinations(range(k), 2))
-    reps: list[list[tuple[int, ...]]] = []
-
-    def record(simplices: list[tuple[int, ...]]) -> None:
-        for rep in reps:
-            if isomorphic(k, rep, simplices):
-                return
-        reps.append(simplices)
 
     def fill(previous, size, acc):
-        if size > k:
-            record(acc)
-            return
         cands = [
             c
             for c in combinations(range(k), size)
-            if all(f in set(previous) for f in combinations(c, size - 1))
+            if all(f in previous for f in combinations(c, size - 1))
         ]
         if not cands:
-            record(acc)
+            yield acc
             return
         for mask in range(1 << len(cands)):
             picked = [cands[i] for i in range(len(cands)) if mask >> i & 1]
-            fill(picked, size + 1, acc + picked)
+            yield from fill(set(picked), size + 1, acc + picked)
 
     for emask in range(1, 1 << len(pairs)):
         edges = [pairs[i] for i in range(len(pairs)) if emask >> i & 1]
         if skeleton_connected(k, edges):
-            fill(edges, 3, list(edges))
+            yield from fill(set(edges), 3, edges)
+
+
+def iso_class_count(k: int) -> int:
+    """Number of connected spanning complexes on k vertices up to isomorphism.
+
+    ``labeled_connected_complexes`` deduplicated by pairwise permutation
+    search; independent of the catalog generator.  Intended for k <= 4.
+    """
+    reps: list[list[tuple[int, ...]]] = []
+    for simplices in labeled_connected_complexes(k):
+        if not any(isomorphic(k, rep, simplices) for rep in reps):
+            reps.append(simplices)
     return len(reps)
 
 

@@ -20,7 +20,7 @@ from simplets import catalog as catalog_module
 from simplets.complexes import simplex_layout
 from simplets.cli import main
 
-from . import oracles
+from . import catalog_reference, oracles
 
 
 def relabeled(simplices, perm):
@@ -266,54 +266,13 @@ def test_classifier_matches_direct_canonicalization(catalog4):
 
 def test_catalog_k5_matches_plain_labeled_enumeration(catalog5):
     """Exhaustive labeled enumeration, no automorphism shortcuts."""
-
-    def connected_spanning(edges, k):
-        adj = {v: set() for v in range(k)}
-        for u, v in edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        seen = {0}
-        stack = [0]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return len(seen) == k
-
-    k = 5
-    pairs = list(combinations(range(k), 2))
-    seen_keys = set()
-
-    def fill(previous, size, acc):
-        if size > k:
-            seen_keys.add(canonical_form(k, acc))
-            return
-        prev = set(previous)
-        cands = [
-            c
-            for c in combinations(range(k), size)
-            if all(f in prev for f in combinations(c, size - 1))
-        ]
-        if not cands:
-            seen_keys.add(canonical_form(k, acc))
-            return
-        for mask in range(1 << len(cands)):
-            picked = [cands[i] for i in range(len(cands)) if mask >> i & 1]
-            fill(picked, size + 1, acc + picked)
-
-    for emask in range(1, 1 << len(pairs)):
-        edges = [pairs[i] for i in range(len(pairs)) if emask >> i & 1]
-        if connected_spanning(edges, k):
-            fill(edges, 3, list(edges))
-
+    seen_keys = {canonical_form(5, s) for s in oracles.labeled_connected_complexes(5)}
     assert seen_keys == {key for key in catalog5.keys if key.vertex_count == 5}
 
 
 def test_catalog_data_equals_generator():
     for m in range(2, 6):
-        assert generate_catalog(m).keys == catalog_module._generate_catalog(m).keys
+        assert generate_catalog(m).keys == catalog_reference._generate_catalog(m).keys
 
 
 def test_catalog_m6_is_pinned():
@@ -349,8 +308,14 @@ def test_damaged_catalog_data_is_rejected(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.slow
-def test_catalog_m6_generates():
-    assert catalog_module._generate_catalog(6).keys == generate_catalog(6).keys, (
+def test_catalog_m6_generates(tmp_path):
+    regenerate = (
         "the catalog data differs from the generator; regenerate it with "
-        "PYTHONPATH=src python -c 'from simplets import catalog; catalog._write_catalog_data()'"
+        "PYTHONPATH=src python -m tests.catalog_reference"
     )
+    reference = catalog_reference._generate_catalog(6)
+    assert reference.keys == generate_catalog(6).keys, regenerate
+    path = tmp_path / "catalog_masks.txt"
+    catalog_reference._write_catalog_data(reference, path)
+    with open(catalog_module._CATALOG_DATA, "rb") as committed:
+        assert path.read_bytes() == committed.read(), regenerate

@@ -69,8 +69,10 @@ def test_sampling_commands_share_defaults(tmp_path):
 
 
 def test_no_command_imports_numpy(tmp_path):
-    # numpy adds about 12 MB to a process's peak RSS; only the catalog generator,
-    # which no command runs, may load it.
+    # numpy adds about 12 MB to a process's peak RSS and is not a dependency:
+    # only the transition_matrix diagnostic and the tests use it.  -S keeps
+    # site-packages off the path, so the commands must run on the standard
+    # library alone.
     facets = tmp_path / "facets.txt"
     facets.write_text("0 1 2\n2 3\n3 4 5\n")
     script = f"""
@@ -93,7 +95,7 @@ assert "numpy" not in sys.modules, "a command imported numpy"
 """
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
 

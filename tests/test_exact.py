@@ -175,6 +175,10 @@ def test_sfd_vector_rejects_bad_input():
         SFDVector(3, (0, 0, 0))
     with pytest.raises(InputError):
         SFDVector(3, (1, -1, 2))
+    with pytest.raises(InputError):
+        SFDVector(3, [0.5, 1.5, 2.9])  # would truncate to (0, 1, 2)
+    with pytest.raises(InputError):
+        SFDVector(3, (1, float("nan"), 2))
 
 
 @given(st.lists(st.integers(min_value=0, max_value=10**9), min_size=1, max_size=30))
