@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
 from .catalog import SimpletCatalog, TypeClassifier
 from .complexes import Simplet, SimplicialComplex

@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import functools
 import os
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import permutations
-from typing import Iterable, Iterator, Sequence
 
 from .complexes import Simplet, decode_mask, simplex_layout
 from .errors import InputError, IntegrityError
+from .record import Record
 
 __all__ = [
     "SimpletTypeKey",
@@ -151,12 +152,10 @@ def _canonical_mask(k: int, mask: int) -> int:
     return _max_mask(map(tables.__getitem__, _edge_maximal_orders(k, rows)), mask)
 
 
-@dataclass(frozen=True, order=True)
-class SimpletTypeKey:
-    """Canonical encoding of a simplet type: vertex count plus canonical simplex list."""
-
-    vertex_count: int
-    simplices: tuple[tuple[int, ...], ...]
+SimpletTypeKey = namedtuple("SimpletTypeKey", "vertex_count simplices")
+SimpletTypeKey.__doc__ = (
+    "Canonical encoding of a simplet type: vertex count plus canonical simplex list."
+)
 
 
 def _key(k: int, mask: int) -> SimpletTypeKey:
@@ -189,16 +188,18 @@ def canonical_key(simplet: Simplet) -> SimpletTypeKey:
     return _key(k, _canonical_mask(k, simplet.mask()))
 
 
-@dataclass(frozen=True)
-class SimpletCatalog:
-    """Ordered family of all simplet types with at most ``m`` vertices."""
+class SimpletCatalog(Record):
+    """Ordered family of all simplet types with at most ``m`` vertices.
 
-    m: int
-    keys: tuple[SimpletTypeKey, ...]
-    index: dict[SimpletTypeKey, int] = field(init=False, repr=False, compare=False)
+    ``index`` maps each key to its position in ``keys``.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "index", {key: i for i, key in enumerate(self.keys)})
+    __slots__ = ("m", "keys", "index")
+    _arity = 2
+    _compared = _shown = ("m", "keys")
+
+    def __init__(self, m: int, keys: tuple[SimpletTypeKey, ...]):
+        self._store(m, keys, {key: i for i, key in enumerate(keys)})
 
     def __len__(self) -> int:
         return len(self.keys)

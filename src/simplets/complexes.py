@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import functools
 import operator
-from collections import deque
-from dataclasses import dataclass, field
+from collections import deque, namedtuple
+from collections.abc import Iterable
 from itertools import combinations, cycle
-from typing import Iterable, NamedTuple
 
 from .errors import InputError, StructuralError
+from .record import Record
 
 __all__ = [
     "SimplicialComplex",
@@ -98,16 +98,20 @@ class SimplicialComplex:
         return len(seen) == len(vs)
 
 
-@dataclass(frozen=True)
-class Simplet:
+class Simplet(Record):
     """A connected induced sub-complex of ``host``, identified by its vertex set.
 
     Construct through :func:`induced_subcomplex` (or the sampler), which
     enforce connectivity; the constructor itself does not re-validate.
+    Equality, the hash and repr use the vertices only.
     """
 
-    host: SimplicialComplex = field(compare=False, repr=False)
-    vertices: tuple[int, ...] = ()
+    __slots__ = ("host", "vertices")
+    _arity = 2
+    _compared = _shown = ("vertices",)
+
+    def __init__(self, host: SimplicialComplex, vertices: tuple[int, ...] = ()):
+        self._store(host, vertices)
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -163,8 +167,7 @@ def decode_mask(k: int, mask: int) -> tuple[tuple[int, ...], ...]:
     return tuple(s for s, weight, _ in simplex_layout(k) if mask & weight)
 
 
-class DiameterEstimate(NamedTuple):
-    value: int
+DiameterEstimate = namedtuple("DiameterEstimate", "value")
 
 
 def build_complex(facet_list: Iterable[Iterable[int]], vertex_count: int) -> SimplicialComplex:

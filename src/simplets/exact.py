@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .catalog import SimpletCatalog, canonical_form
 from .complexes import SimplicialComplex, decode_mask, simplex_layout
 from .errors import InputError, StructuralError
+from .record import Record
 
 __all__ = [
     "SFDVector",
@@ -29,8 +29,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SFDVector:
+class SFDVector(Record):
     """Simplet frequency distribution over the catalog order.
 
     Holds the per-type ``counts`` of a counting or sampling run, which must be
@@ -38,15 +37,14 @@ class SFDVector:
     the counts divided by it, a length-N_m vector in [0, 1] summing to 1.
     """
 
-    catalog_m: int
-    counts: tuple[int, ...]
-    mode: str = "exact"
-    total: int = field(init=False, compare=False)
-    frequencies: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("catalog_m", "counts", "mode", "total", "frequencies")
+    _arity = 3
+    _compared = ("catalog_m", "counts", "mode")
+    _shown = ("catalog_m", "counts", "mode", "total")
 
-    def __post_init__(self) -> None:
+    def __init__(self, catalog_m: int, counts: Iterable[int], mode: str = "exact"):
         try:
-            counts = tuple(map(operator.index, self.counts))
+            counts = tuple(map(operator.index, counts))
         except TypeError as exc:
             raise InputError(f"counts must be integers: {exc}") from None
         if any(c < 0 for c in counts):
@@ -54,9 +52,7 @@ class SFDVector:
         total = sum(counts)
         if total == 0:
             raise InputError("cannot normalize an all-zero count vector")
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "total", total)
-        object.__setattr__(self, "frequencies", tuple(c / total for c in counts))
+        self._store(catalog_m, counts, mode, total, tuple(c / total for c in counts))
 
     def __len__(self) -> int:
         return len(self.counts)

@@ -9,36 +9,37 @@ all four of its boundary triangles were filled, keeping downward closure.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
-from typing import NamedTuple
 
 from .complexes import SimplicialComplex, build_complex, connected_components
 from .errors import InputError, StructuralError
+from .record import Record
 
 __all__ = ["GenSpec", "generate", "largest_connected_restriction", "RestrictionResult"]
 
 MODELS = ("flag", "lm")
 
 
-@dataclass(frozen=True)
-class GenSpec:
-    model: str
-    n: int
-    p_edge: float
-    p_tri: float = 0.0
-    p_tet: float = 0.0
-    seed: int = 0
+class GenSpec(Record):
+    """Generator parameters: the model, the vertex count, the fill
+    probabilities of edges, triangles and tetrahedra, and the seed."""
 
-    def __post_init__(self) -> None:
-        if self.model not in MODELS:
-            raise InputError(f"model must be one of {MODELS}, got {self.model!r}")
-        if self.n < 3:
-            raise InputError(f"generator needs n >= 3, got n={self.n}")
-        for name in ("p_edge", "p_tri", "p_tet"):
-            p = getattr(self, name)
+    __slots__ = _compared = _shown = ("model", "n", "p_edge", "p_tri", "p_tet", "seed")
+    _arity = 6
+
+    def __init__(
+        self, model: str, n: int, p_edge: float, p_tri: float = 0.0, p_tet: float = 0.0,
+        seed: int = 0,
+    ):
+        if model not in MODELS:
+            raise InputError(f"model must be one of {MODELS}, got {model!r}")
+        if n < 3:
+            raise InputError(f"generator needs n >= 3, got n={n}")
+        for name, p in (("p_edge", p_edge), ("p_tri", p_tri), ("p_tet", p_tet)):
             if not (0.0 <= p <= 1.0):
                 raise InputError(f"{name}={p} outside [0, 1]")
+        self._store(model, n, p_edge, p_tri, p_tet, seed)
 
 
 def _base_graph(spec: GenSpec, rng: random.Random):
@@ -104,9 +105,7 @@ def generate(spec: GenSpec) -> SimplicialComplex:
     return build_complex(facets, spec.n)
 
 
-class RestrictionResult(NamedTuple):
-    complex: SimplicialComplex
-    original_vertices: tuple[int, ...]
+RestrictionResult = namedtuple("RestrictionResult", "complex original_vertices")
 
 
 def largest_connected_restriction(complex_: SimplicialComplex) -> RestrictionResult:
@@ -114,10 +113,13 @@ def largest_connected_restriction(complex_: SimplicialComplex) -> RestrictionRes
 
     Ties break toward the component containing the lowest vertex id.  Also
     returns the original ids in new-id order so callers can carry labels over.
+    A complex whose skeleton is connected comes back as it is.
     """
     if complex_.edge_count == 0:
         raise StructuralError("complex has no edges; nothing to restrict to")
     components = connected_components(complex_)
+    if len(components) == 1:
+        return RestrictionResult(complex_, tuple(components[0]))
     best = max(components, key=lambda comp: (len(comp), -min(comp)))
     keep = set(best)
     relabel = {old: new for new, old in enumerate(best)}

@@ -8,22 +8,22 @@ returned so outputs can echo the original labels.
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import IO, Iterable, NamedTuple
+import os
+from collections import namedtuple
+from collections.abc import Iterable
+from io import TextIOBase
 
 from .complexes import SimplicialComplex, build_complex
 from .errors import InputError
 
 __all__ = ["ParsedFacets", "read_facets", "load_complex", "write_facets"]
 
-
-class ParsedFacets(NamedTuple):
-    facets: list[tuple[int, ...]]
-    labels: list[str]
+# The facets as vertex-id tuples, and the labels in vertex-id order.
+ParsedFacets = namedtuple("ParsedFacets", "facets labels")
 
 
-def _lines(source: str | Path | IO[str]) -> Iterable[str]:
-    if isinstance(source, (str, Path)):
+def _lines(source: str | os.PathLike | Iterable[str]) -> Iterable[str]:
+    if isinstance(source, (str, os.PathLike)):
         try:
             handle = open(source, "r", encoding="utf-8", errors="surrogateescape")
         except OSError as exc:
@@ -40,7 +40,7 @@ def _lines(source: str | Path | IO[str]) -> Iterable[str]:
         yield from source
 
 
-def read_facets(source: str | Path | IO[str]) -> ParsedFacets:
+def read_facets(source: str | os.PathLike | Iterable[str]) -> ParsedFacets:
     """Parse a facet file into integer facets plus the label table."""
     ids: dict[str, int] = {}
     facets: list[tuple[int, ...]] = []
@@ -62,14 +62,16 @@ def read_facets(source: str | Path | IO[str]) -> ParsedFacets:
     return ParsedFacets(facets, list(ids))
 
 
-def load_complex(source: str | Path | IO[str]) -> tuple[SimplicialComplex, list[str]]:
+def load_complex(
+    source: str | os.PathLike | Iterable[str],
+) -> tuple[SimplicialComplex, list[str]]:
     """Read a facet file and build the complex; returns (complex, labels)."""
     facets, labels = read_facets(source)
     return build_complex(facets, len(labels)), labels
 
 
 def write_facets(
-    destination: str | Path | IO[str],
+    destination: str | os.PathLike | TextIOBase,
     complex_: SimplicialComplex,
     labels: list[str] | None = None,
 ) -> None:
@@ -78,17 +80,19 @@ def write_facets(
     Labels go in vertex-id order, except that each line starts with its
     first label that does not begin with ``#``, so that no facet reads back
     as a comment; a facet whose labels all begin with ``#`` raises
-    ``InputError``, and so does a label that is not one whitespace-free
-    token or that names two vertices, since it would not read back as one
-    vertex.  Vertices outside
-    every facet are written as singleton lines so the vertex count
-    round-trips through the format.  Nothing is written when it raises.
+    ``InputError``, and so does a label that is not a string, is not one
+    whitespace-free token or names two vertices, since it would not read
+    back as one vertex.  Vertices outside every facet are written as
+    singleton lines so the vertex count round-trips through the format.
+    Nothing is written when it raises.
     """
     if labels is not None:
         if len(labels) != complex_.vertex_count:
             raise InputError("labels must cover every vertex")
         seen = set()
         for label in labels:
+            if not isinstance(label, str):
+                raise InputError(f"cannot write label {label!r}: it is not a string")
             if label.split() != [label]:
                 raise InputError(f"cannot write label {label!r}: it is not one whitespace-free token")
             if label in seen:
@@ -106,7 +110,7 @@ def write_facets(
     covered = {v for facet in complex_.facets for v in facet}
     lines.extend(line((v,)) for v in range(complex_.vertex_count) if v not in covered)
 
-    if isinstance(destination, (str, Path)):
+    if isinstance(destination, (str, os.PathLike)):
         with open(destination, "w", encoding="utf-8") as handle:
             handle.write("\n".join(lines) + "\n")
     else:

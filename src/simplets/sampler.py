@@ -20,13 +20,13 @@ import functools
 import math
 import random
 import sys
-from dataclasses import dataclass
+from collections.abc import Sequence
 from itertools import compress, repeat
 from operator import and_
-from typing import Sequence
 
 from .complexes import Simplet, SimplicialComplex, skeleton_diameter
 from .errors import InputError, IntegrityError, StructuralError
+from .record import Record
 
 __all__ = [
     "WalkConfig",
@@ -49,8 +49,7 @@ def _check_positive(name: str, value: float) -> None:
         raise InputError(f"{name} must be a finite positive number, got {value}")
 
 
-@dataclass(frozen=True)
-class WalkConfig:
+class WalkConfig(Record):
     """Random-walk parameters.
 
     ``burn_in`` overrides the mixing-bound heuristic when set; otherwise the
@@ -58,17 +57,16 @@ class WalkConfig:
     sampler's only random stream.
     """
 
-    m: int
-    burn_in: int | None = None
-    c_mix: float = 1.0
-    rng_seed: int = 0
+    __slots__ = _compared = _shown = ("m", "burn_in", "c_mix", "rng_seed")
+    _arity = 4
 
-    def __post_init__(self) -> None:
-        if self.m < 3:
-            raise InputError(f"the sampler requires m >= 3, got m={self.m}")
-        if self.burn_in is not None and (type(self.burn_in) is not int or self.burn_in < 1):
-            raise InputError(f"burn_in must be a positive integer, got {self.burn_in!r}")
-        _check_positive("c_mix", self.c_mix)
+    def __init__(self, m: int, burn_in: int | None = None, c_mix: float = 1.0, rng_seed: int = 0):
+        if m < 3:
+            raise InputError(f"the sampler requires m >= 3, got m={m}")
+        if burn_in is not None and (type(burn_in) is not int or burn_in < 1):
+            raise InputError(f"burn_in must be a positive integer, got {burn_in!r}")
+        _check_positive("c_mix", c_mix)
+        self._store(m, burn_in, c_mix, rng_seed)
 
 
 # Swap counts are packed one field per position, so that one C-level sum counts

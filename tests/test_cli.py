@@ -72,7 +72,9 @@ def test_no_command_imports_numpy(tmp_path):
     # numpy adds about 12 MB to a process's peak RSS and is not a dependency:
     # only the transition_matrix diagnostic and the tests use it.  -S keeps
     # site-packages off the path, so the commands must run on the standard
-    # library alone.
+    # library alone.  Nor does any command load dataclasses, inspect, typing
+    # or pathlib, which together cost more start-up time than the modules
+    # the commands need.
     facets = tmp_path / "facets.txt"
     facets.write_text("0 1 2\n2 3\n3 4 5\n")
     script = f"""
@@ -92,6 +94,8 @@ for argv in argvs:
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0, argv
 assert "numpy" not in sys.modules, "a command imported numpy"
+loaded = [name for name in ("dataclasses", "inspect", "typing", "pathlib") if name in sys.modules]
+assert not loaded, f"a command imported {{loaded}}"
 """
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from itertools import combinations
 
@@ -6,6 +8,7 @@ import pytest
 from simplets import (
     GenSpec,
     InputError,
+    SFDVector,
     SimpletSampler,
     StructuralError,
     WalkConfig,
@@ -13,6 +16,7 @@ from simplets import (
     burn_in_steps,
     connected_components,
     generate,
+    generate_catalog,
     induced_subcomplex,
     largest_connected_restriction,
     skeleton_diameter,
@@ -27,6 +31,28 @@ def test_single_filled_triangle_shape(filled_triangle):
     assert len(filled_triangle.facets) == 1
     assert filled_triangle.edge_count == 3
     assert filled_triangle.max_degree == 2
+
+
+def test_records_are_read_only_and_copy_by_value(filled_triangle):
+    records = [
+        induced_subcomplex(filled_triangle, (0, 2)),
+        generate_catalog(3),
+        SFDVector(3, (1, 2, 0), mode="approx"),
+        WalkConfig(m=4, burn_in=7),
+        GenSpec("lm", 10, 0.5, p_tri=0.3, seed=2),
+    ]
+    for record in records:
+        for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+            assert copied == record and hash(copied) == hash(record)
+            assert repr(copied) == repr(record)
+            for name in record.__slots__:
+                if name != "host":  # a complex compares by identity
+                    assert getattr(copied, name) == getattr(record, name)
+        for name in record.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
 
 
 def test_non_maximal_facets_dropped():

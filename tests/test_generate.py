@@ -81,6 +81,7 @@ def test_restriction_keeps_connected_complex_intact(filled_triangle):
     restricted, original = largest_connected_restriction(filled_triangle)
     assert original == (0, 1, 2)
     assert restricted.facets == filled_triangle.facets
+    assert restricted is filled_triangle
 
 
 def test_restriction_two_triangles():

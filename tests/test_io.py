@@ -105,8 +105,9 @@ def test_write_rejects_a_facet_of_hash_labels_only():
         (["a b", "y", ""], "a b"),  # would read back as one triangle on three vertices
         (["x", "y z", "w"], "y z"),  # would read back as two triangles on four vertices
         (["a", "b", "a"], "a"),  # would read back as a single edge
+        ([1, 2, 3], 1),  # not strings, so not tokens the reader returns
     ],
-    ids=["spaced-and-empty", "spaced", "repeated"],
+    ids=["spaced-and-empty", "spaced", "repeated", "not-a-string"],
 )
 def test_write_rejects_labels_that_do_not_read_back(tmp_path, labels, bad):
     complex_ = build_complex([(0, 1), (1, 2)], 3)
