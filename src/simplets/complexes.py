@@ -33,10 +33,13 @@ class SimplicialComplex:
     """Immutable simplicial complex over dense vertex ids ``[0, n)``.
 
     Construct through :func:`build_complex`; instances are safe for concurrent
-    read access.  ``_diameter`` memoises :func:`skeleton_diameter`.
+    read access.  ``_diameter`` memoises :func:`skeleton_diameter`, and
+    ``_bits`` :meth:`_adjacency_bits`.
     """
 
-    __slots__ = ("vertex_count", "facets", "adjacency", "max_degree", "_incidence", "_diameter")
+    __slots__ = (
+        "vertex_count", "facets", "adjacency", "max_degree", "_incidence", "_diameter", "_bits",
+    )
 
     def __init__(self, vertex_count: int, facets: tuple[frozenset[int], ...]):
         self.vertex_count = vertex_count
@@ -53,6 +56,7 @@ class SimplicialComplex:
         self.adjacency: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adjacency)
         self.max_degree = max((len(s) for s in self.adjacency), default=0)
         self._diameter: DiameterEstimate | None = None
+        self._bits: tuple[int, ...] | None = None
 
     def __repr__(self) -> str:
         return (
@@ -71,6 +75,19 @@ class SimplicialComplex:
         depend on how a copy of the complex hashes its adjacency sets.
         """
         return [(u, v) for u in range(self.vertex_count) for v in sorted(self.adjacency[u]) if u < v]
+
+    def _adjacency_bits(self) -> tuple[int, ...]:
+        """The adjacency as integer bitsets, bit w of entry v set when w is a
+        neighbour of v; built on first use (about n²/8 bytes) and kept."""
+        if self._bits is None:
+            bits = []
+            for nbrs in self.adjacency:
+                row = 0
+                for w in nbrs:
+                    row |= 1 << w
+                bits.append(row)
+            self._bits = tuple(bits)
+        return self._bits
 
     def _check_vertices(self, vertices: Iterable[int]) -> tuple[int, ...]:
         vs = tuple(vertices)

@@ -5,13 +5,14 @@ sorted vertex tuples.  Moves add, remove, or swap one vertex while keeping
 the induced skeleton connected.  Transition probabilities are
 ``T(i, j) = min(1/d(i), 1/d(j))`` for neighboring states, with the residual
 mass on a self-loop, which makes ``T`` symmetric and doubly stochastic and
-hence the stationary distribution uniform over all states.  One pass over a
-state's adjacency gives each outside vertex its attach mask, the positions it
-touches (the GUISE kernel of Bhuiyan et al., ICDM 2012); the degree is then a
-sum of lookups in a move table memoised per induced shape.  Only the walk's
-current state is decoded into moves.  ``SimpletSampler.sample`` is the walk's
-one loop.  Its one memo maps each proposed state to its degree, and replaces
-that by the state's expansion when the walk enters it.
+hence the stationary distribution uniform over all states.  Each vertex's
+neighbours are one integer bitset, kept on the complex (about n²/8 bytes).
+A state's moves are then a few big-integer ORs, ANDs and popcounts over its
+vertices' bitsets, as its shape (the induced edges, memoised per shape)
+prescribes; only the walk's current state is decoded into a move.
+``SimpletSampler.sample`` is the walk's one loop.  Its one memo maps each
+proposed state to its degree, and replaces that by the state's expansion
+when the walk enters it.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import math
 import random
 import sys
 from collections.abc import Sequence
-from itertools import compress, repeat
-from operator import and_
+from itertools import combinations
+from operator import or_
 
 from .complexes import Simplet, SimplicialComplex, skeleton_diameter
 from .errors import InputError, IntegrityError, StructuralError
@@ -61,38 +62,31 @@ class WalkConfig(Record):
     _arity = 4
 
     def __init__(self, m: int, burn_in: int | None = None, c_mix: float = 1.0, rng_seed: int = 0):
-        if m < 3:
-            raise InputError(f"the sampler requires m >= 3, got m={m}")
+        if type(m) is not int or m < 3:
+            raise InputError(f"the sampler requires an integer m >= 3, got m={m!r}")
         if burn_in is not None and (type(burn_in) is not int or burn_in < 1):
             raise InputError(f"burn_in must be a positive integer, got {burn_in!r}")
         _check_positive("c_mix", c_mix)
         self._store(m, burn_in, c_mix, rng_seed)
 
 
-# Swap counts are packed one field per position, so that one C-level sum counts
-# every position's swaps; that sum modulo the field's mask is their total, which
-# is at most len(state) * len(attach) and must fit in one field.  Six narrow
-# fields fit a machine word, which the sum adds without allocating; states with
-# too many outside neighbours for them use wide fields.
-_NARROW, _WIDE = 10, 32
+class _Shape:
+    """The moves of one shape, a state's induced edges as one flag per pair of
+    positions in ``combinations`` order.  ``removable`` lists the positions
+    whose removal keeps the state connected, ``parts[u]`` the components of
+    the state without u as position tuples; a vertex outside the state can
+    replace u when it neighbours every part of ``parts[u]``."""
 
+    __slots__ = ("removable", "parts")
 
-class _MoveTable(dict):
-    """The moves of one shape ``nb``, a state's induced neighbour masks by
-    position.  ``removable`` lists the positions whose removal keeps the state
-    connected, ``parts[u]`` the component masks of the state without u.  A
-    vertex with attach mask a can replace u when a meets every part of
-    ``parts[u]``; the table maps a to those positions as packed ``field``-bit
-    fields, filled on first lookup, so bit ``field * u`` of its entry is set
-    when it can replace u."""
-
-    __slots__ = ("removable", "parts", "field", "mask")
-
-    def __init__(self, nb: tuple[int, ...], field: int):
-        super().__init__()
-        k = len(nb)
+    def __init__(self, edges: tuple[bool, ...]):
+        k = (1 + math.isqrt(1 + 8 * len(edges))) // 2
+        nb = [0] * k
+        for (i, j), edge in zip(combinations(range(k), 2), edges):
+            if edge:
+                nb[i] |= 1 << j
+                nb[j] |= 1 << i
         self.parts = []
-        self.field, self.mask = field, (1 << field) - 1
         for u in range(k):
             rest, parts = ((1 << k) - 1) ^ (1 << u), []
             while rest:
@@ -102,69 +96,71 @@ class _MoveTable(dict):
                     for i in range(k):
                         if part >> i & 1:
                             grown |= nb[i] & rest
-                parts.append(part)
+                parts.append(tuple(i for i in range(k) if part >> i & 1))
                 rest ^= part
             self.parts.append(parts)
         self.removable = [u for u, parts in enumerate(self.parts) if len(parts) == 1 and k > 2]
 
-    def __missing__(self, attach: int) -> int:
-        packed = 0
-        for u, parts in enumerate(self.parts):
-            if all(part & attach for part in parts):
-                packed |= 1 << (self.field * u)
-        self[attach] = packed
-        return packed
+
+# One per shape; fewer than 28k connected shapes have at most 6 positions.
+_shape = functools.cache(_Shape)
 
 
-# One table per shape and field width; fewer than 28k connected shapes have at
-# most 6 positions.
-_moves_table = functools.cache(_MoveTable)
-
-
-def _expand(adj: Sequence[frozenset[int]], state: State, m: int) -> tuple:
-    """``(degree, adds, attach, table, swaps, picks)`` of a state: ``attach`` maps
-    each outside neighbour to its attach mask, all of which may be added below
-    m vertices (``adds``), ``swaps`` packs the swap count of every position, and
-    ``picks`` keeps each position's sorted replacements once decoded.  The
-    state memo keeps the expansions of states the walk has entered, and on a
-    small state space the walk enters those states again and again, so
-    ``picks`` spares their decodes: without it a step on the criterion-7
-    complex costs about twice as much, while large inputs see no change."""
-    attach = dict.fromkeys(adj[state[0]], 1)
-    bit = 2
-    for v in state[1:]:
-        for w in adj[v]:
-            attach[w] = attach.get(w, 0) | bit
-        bit <<= 1
-    nb = tuple(map(attach.pop, state))
-    table = _moves_table(nb, _NARROW if len(state) * len(attach) < (1 << _NARROW) - 1 else _WIDE)
-    adds = len(attach) if len(state) < m else 0
-    swaps = sum(map(table.__getitem__, attach.values()))
-    return adds + len(table.removable) + swaps % table.mask, adds, attach, table, swaps, {}
+def _expand(adj: Sequence[frozenset[int]], bits: Sequence[int], state: State, m: int) -> tuple:
+    """``(degree, adds, removable, swaps)`` of a state: ``adds`` is the bitset of
+    the outside neighbours, which may be added below m vertices (0 at m),
+    ``removable`` the removable positions, and ``swaps[u]`` the bitset of the
+    outside vertices that can replace position u: those that neighbour every
+    part of the state without u."""
+    shape = _shape(tuple([b in adj[a] for a, b in combinations(state, 2)]))
+    inside = 0
+    for v in state:
+        inside |= 1 << v
+    rows = [(bits[v] | inside) ^ inside for v in state]
+    swaps = []
+    for parts in shape.parts:
+        common = -1
+        for part in parts:
+            reach = 0
+            for i in part:
+                reach |= rows[i]
+            common &= reach
+        swaps.append(common)
+    adds = functools.reduce(or_, rows) if len(state) < m else 0
+    degree = adds.bit_count() + len(shape.removable) + sum(map(int.bit_count, swaps))
+    return degree, adds, shape.removable, swaps
 
 
 def _neighbor(state: State, expansion: tuple, index: int) -> State:
     """The ``index``-th move of ``state``: adds by vertex, then removals by
-    position, then swaps by position and then by replacing vertex."""
-    _degree, adds, attach, table, swaps, picks = expansion
-    if index < adds:
-        return tuple(sorted(state + (sorted(attach)[index],)))
-    index -= adds
-    removable = table.removable
-    if index < len(removable):
-        u = removable[index]
-        return state[:u] + state[u + 1:]
-    index -= len(removable)
-    field, mask = table.field, table.mask
-    for u in range(len(state)):
-        count = swaps >> (field * u) & mask
+    position, then swaps by position and then by replacing vertex.  The vertex
+    that joins is the index-th lowest set bit of the move's bitset."""
+    _degree, mask, removable, swaps = expansion
+    rest = state
+    if index >= mask.bit_count():
+        index -= mask.bit_count()
+        if index < len(removable):
+            u = removable[index]
+            return state[:u] + state[u + 1:]
+        index -= len(removable)
+        for u, mask in enumerate(swaps):
+            if index < mask.bit_count():
+                rest = state[:u] + state[u + 1:]
+                break
+            index -= mask.bit_count()
+        else:
+            raise IntegrityError("neighbor index out of range; degree bookkeeping is broken")
+    base = 0
+    while index > 4:  # halve the mask while many set bits precede the one sought
+        half = mask.bit_length() >> 1
+        count = (mask & ((1 << half) - 1)).bit_count()
         if index < count:
-            if u not in picks:  # the outside neighbours whose swap positions include u
-                picks[u] = sorted(compress(attach, map(
-                    and_, map(table.__getitem__, attach.values()), repeat(1 << field * u))))
-            return tuple(sorted(state[:u] + state[u + 1:] + (picks[u][index],)))
-        index -= count
-    raise IntegrityError("neighbor index out of range; degree bookkeeping is broken")
+            mask &= (1 << half) - 1
+        else:
+            index, mask, base = index - count, mask >> half, base + half
+    for _ in range(index):
+        mask &= mask - 1
+    return tuple(sorted(rest + (base + (mask & -mask).bit_length() - 1,)))
 
 
 def _walk_state(complex_: SimplicialComplex, state: Sequence[int], m: int) -> State:
@@ -186,13 +182,14 @@ def state_neighbors(
 
     These are exactly the proposals of the walk: one per move index."""
     s = _walk_state(complex_, state, m)
-    expansion = _expand(complex_.adjacency, s, m)
+    expansion = _expand(complex_.adjacency, complex_._adjacency_bits(), s, m)
     return sorted(_neighbor(s, expansion, i) for i in range(expansion[0]))
 
 
 def state_degree(complex_: SimplicialComplex, state: Sequence[int], m: int) -> int:
     """Number of out-neighbors of a state in the walk graph."""
-    return _expand(complex_.adjacency, _walk_state(complex_, state, m), m)[0]
+    s = _walk_state(complex_, state, m)
+    return _expand(complex_.adjacency, complex_._adjacency_bits(), s, m)[0]
 
 
 def burn_in_steps(
@@ -235,6 +232,7 @@ class SimpletSampler:
         )
         self._rng = random.Random(config.rng_seed)
         self._adj = complex_.adjacency
+        self._bits = complex_._adjacency_bits()
         self._edges = complex_.edges()
         # The memo: a state's degree, replaced by its expansion once the walk
         # enters it.  It holds at most _CACHE_CAP states.
@@ -245,7 +243,7 @@ class SimpletSampler:
         """The degree of ``state``, by the memo's rules for a proposal."""
         entry = self._degree_cache.get(state)
         if entry is None:
-            entry = _expand(self._adj, state, self.config.m)[0]
+            entry = _expand(self._adj, self._bits, state, self.config.m)[0]
             if len(self._degree_cache) < _CACHE_CAP:
                 self._degree_cache[state] = entry
         return entry if entry.__class__ is int else entry[0]
@@ -259,12 +257,13 @@ class SimpletSampler:
         degree comes from the memo; one the memo lacks is expanded, and its
         degree kept while the memo has room.  Entering a state whose memo
         entry is a degree expands it again and keeps that expansion."""
-        rng, adj, m, memo, cap = self._rng, self._adj, self.config.m, self._degree_cache, _CACHE_CAP
+        rng, adj, bits, m = self._rng, self._adj, self._bits, self.config.m
+        memo, cap = self._degree_cache, _CACHE_CAP
         randrange, random_, expand, neighbor = rng.randrange, rng.random, _expand, _neighbor
         state = self._edges[randrange(len(self._edges))]
         info = memo.get(state)
         if info.__class__ is not tuple:  # a chain start reuses only a kept expansion
-            info = expand(adj, state, m)
+            info = expand(adj, bits, state, m)
         d_s = info[0]
         for _ in range(self.burn_in):
             if d_s == 0:
@@ -272,7 +271,7 @@ class SimpletSampler:
             proposal = neighbor(state, info, randrange(d_s))
             entry = memo.get(proposal)
             if entry is None:
-                entry = expand(adj, proposal, m)
+                entry = expand(adj, bits, proposal, m)
                 d_j = entry[0]
                 if len(memo) < cap:
                     memo[proposal] = d_j
@@ -282,7 +281,7 @@ class SimpletSampler:
                 d_j = entry[0]
             if d_j <= d_s or random_() < d_s / d_j:
                 if entry.__class__ is int:  # entering a state whose degree is memoised
-                    entry = memo[proposal] = expand(adj, proposal, m)
+                    entry = memo[proposal] = expand(adj, bits, proposal, m)
                 state, info, d_s = proposal, entry, d_j
         self.steps_taken += self.burn_in
         return Simplet(self.complex, state)
@@ -304,7 +303,7 @@ def transition_matrix(complex_: SimplicialComplex, m: int):
     position = {s: i for i, s in enumerate(states)}
     count = len(states)
     matrix = np.zeros((count, count))
-    expansions = [_expand(complex_.adjacency, s, m) for s in states]
+    expansions = [_expand(complex_.adjacency, complex_._adjacency_bits(), s, m) for s in states]
     for i, (s, expansion) in enumerate(zip(states, expansions)):
         for index in range(expansion[0]):
             j = position[_neighbor(s, expansion, index)]

@@ -78,6 +78,12 @@ def test_config_validation():
         WalkConfig(m=3, c_mix=0.0)
 
 
+@pytest.mark.parametrize("m", [3.5, 4.0, True, "4"])
+def test_config_m_must_be_an_int(m):
+    with pytest.raises(InputError):
+        WalkConfig(m=m)
+
+
 @pytest.mark.parametrize("burn_in", [2.5, 3.0, True, "5"])
 def test_config_burn_in_must_be_an_int(burn_in):
     with pytest.raises(InputError):
@@ -313,9 +319,9 @@ def test_expansions_are_memo_misses_and_entered_memo_hits(monkeypatch):
     expansions, currents, proposals = [], [], []
     expand, neighbor = sampler_module._expand, sampler_module._neighbor
 
-    def counted_expand(adj, state, m):
+    def counted_expand(adj, bits, state, m):
         expansions.append(state)
-        return expand(adj, state, m)
+        return expand(adj, bits, state, m)
 
     def recorded_neighbor(state, expansion, index):
         currents.append(state)
@@ -358,8 +364,8 @@ def test_expansions_are_memo_misses_and_entered_memo_hits(monkeypatch):
 def test_sink_state_is_an_integrity_error(monkeypatch, filled_triangle):
     expand = sampler_module._expand
 
-    def sink(adj, state, m):  # every state reports degree 0
-        return (0,) + expand(adj, state, m)[1:]
+    def sink(adj, bits, state, m):  # every state reports degree 0
+        return (0,) + expand(adj, bits, state, m)[1:]
 
     monkeypatch.setattr(sampler_module, "_expand", sink)
     with pytest.raises(IntegrityError):
@@ -395,7 +401,7 @@ def test_move_order_matches_the_segment_oracle(model):
     spec = GenSpec(model, 60 if model == "flag" else 30, 0.1 if model == "flag" else 0.25,
                    0.7, 0.7, seed=2)
     complex_ = largest_connected_restriction(generate(spec)).complex
-    adj = complex_.adjacency
+    adj, bits = complex_.adjacency, complex_._adjacency_bits()
     rng = random.Random(11)
     for m in range(3, 7):
         for _ in range(150):
@@ -403,15 +409,15 @@ def test_move_order_matches_the_segment_oracle(model):
             for _ in range(rng.randint(1, m - 1)):
                 state.append(rng.choice(sorted(set().union(*(adj[v] for v in state)) - set(state))))
             state = tuple(sorted(state))
-            expansion = sampler_module._expand(adj, state, m)
+            expansion = sampler_module._expand(adj, bits, state, m)
             moves = [sampler_module._neighbor(state, expansion, i) for i in range(expansion[0])]
             assert moves == oracles.segment_moves(adj, state, m), (state, m)
 
 
-def test_move_table_matches_brute_force_connectivity():
+def test_shape_matches_brute_force_connectivity():
     # Every connected labelled graph on k = 2..5 positions and every nonzero
-    # attach mask, in both field widths: removable positions and swap
-    # positions by exhaustive check.
+    # attach mask: removable positions and, from the parts, swap positions
+    # by exhaustive check.
     for k in range(2, 6):
         pairs = list(combinations(range(k), 2))
         full = (1 << k) - 1
@@ -424,38 +430,62 @@ def test_move_table_matches_brute_force_connectivity():
                     nb[j] |= 1 << i
             if not oracles.bit_connected(nb, full):
                 continue
-            for field in (sampler_module._NARROW, sampler_module._WIDE):
-                table = sampler_module._moves_table(tuple(nb), field)
-                assert table.removable == [
-                    u for u in range(k) if k > 2 and oracles.bit_connected(nb, rest[u])
-                ]
-                for attach in range(1, full + 1):
-                    # w joins the state as position k; it may replace u when
-                    # the state without u, with w added, is connected.
-                    grown = nb + [attach]
-                    for i in range(k):
-                        if attach >> i & 1:
-                            grown[i] = nb[i] | 1 << k
-                    expected = sum(
-                        1 << u for u in range(k)
-                        if oracles.bit_connected(grown, rest[u] | 1 << k)
-                    )
-                    packed = table[attach]
-                    assert packed == sum(1 << field * u for u in range(k) if expected >> u & 1)
-                    assert packed % table.mask == expected.bit_count()
+            shape = sampler_module._shape(tuple(bool(edges >> bit & 1) for bit in range(len(pairs))))
+            assert shape.removable == [
+                u for u in range(k) if k > 2 and oracles.bit_connected(nb, rest[u])
+            ]
+            for attach in range(1, full + 1):
+                # w joins the state as position k; it may replace u when
+                # the state without u, with w added, is connected.
+                grown = nb + [attach]
+                for i in range(k):
+                    if attach >> i & 1:
+                        grown[i] = nb[i] | 1 << k
+                expected = [u for u in range(k) if oracles.bit_connected(grown, rest[u] | 1 << k)]
+                assert [
+                    u for u, parts in enumerate(shape.parts)
+                    if all(any(attach >> i & 1 for i in part) for part in parts)
+                ] == expected
 
 
-def test_swap_counts_beyond_the_narrow_field():
+def test_swap_counts_on_a_wide_star():
     # A star: from a state of the centre and leaves, every other leaf can be
-    # added and can replace a leaf, more often than a narrow field counts.
+    # added and can replace a leaf, so the masks span many machine words.
     leaves = 1100
     star = build_complex([{0, v} for v in range(1, leaves + 1)], leaves + 1)
-    assert leaves - 1 > sampler_module._moves_table((2, 1), sampler_module._NARROW).mask
     for state, degree in [((0, 1), 2 * (leaves - 1)), ((0, 1, 2), 2 + 2 * (leaves - 2))]:
         assert state_degree(star, state, 3) == degree
-        expansion = sampler_module._expand(star.adjacency, state, 3)
+        expansion = sampler_module._expand(star.adjacency, star._adjacency_bits(), state, 3)
         moves = [sampler_module._neighbor(state, expansion, i) for i in range(expansion[0])]
         assert moves == oracles.segment_moves(star.adjacency, state, 3)
+
+
+def _flag2000():
+    return largest_connected_restriction(generate(GenSpec("flag", 2000, 0.004, seed=1))).complex
+
+
+def test_multi_word_bitsets_match_brute_force():
+    # A root past id 1000 puts the state's bits many machine words up.
+    complex_ = _flag2000()
+    assert complex_.vertex_count >= 1900
+    adj = complex_.adjacency
+    rng = random.Random(5)
+    for m in (3, 4, 5):
+        for _ in range(4):
+            state = [rng.randrange(1000, complex_.vertex_count)]
+            for _ in range(m - 1 - rng.randrange(2)):
+                state.append(rng.choice(sorted(set().union(*(adj[v] for v in state)) - set(state))))
+            expected = naive_neighbors(complex_, state, m)
+            assert state_neighbors(complex_, state, m) == expected
+            assert state_degree(complex_, state, m) == len(expected)
+
+
+def test_sampler_matches_reference_walk_on_a_large_host():
+    complex_ = _flag2000()
+    sampler = SimpletSampler(complex_, WalkConfig(m=4, burn_in=150, rng_seed=3))
+    assert sampler._bits is complex_._adjacency_bits()  # one table per complex
+    got = [sampler.sample().vertices for _ in range(6)]
+    assert got == oracles.reference_walk(complex_, 4, 150, 3, 6)
 
 
 @pytest.mark.parametrize("state", [(0, 9), (1,), (0, 2), (0, 1, 2, 3), (1, 1, 2)])
