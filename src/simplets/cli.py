@@ -243,6 +243,13 @@ def _complex_from_args(args) -> tuple[SimplicialComplex, dict]:
     return complex_, origin
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_validate(args) -> int:
     complex_, origin = _complex_from_args(args)
     diameter = skeleton_diameter(complex_)  # raises at once if disconnected, before the catalog
@@ -262,7 +269,9 @@ def cmd_validate(args) -> int:
     )
     seeds = [args.seed * 1_000_003 + index for index in range(args.trials)]
     t0 = time.perf_counter()
-    workers = min(args.threads, args.trials)  # the pool starts every worker at once
+    # The pool starts every worker at once, so it gets no more than there are
+    # trials or CPUs to run them on.
+    workers = min(args.threads, args.trials, _usable_cpus())
     if workers > 1:
         # Imported here: loading the pool module adds about 20 ms to every command.
         from concurrent.futures import ProcessPoolExecutor

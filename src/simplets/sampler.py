@@ -8,11 +8,15 @@ mass on a self-loop, which makes ``T`` symmetric and doubly stochastic and
 hence the stationary distribution uniform over all states.  Each vertex's
 neighbours are one integer bitset, kept on the complex (about n²/8 bytes).
 A state's moves are then a few big-integer ORs, ANDs and popcounts over its
-vertices' bitsets, as its shape (the induced edges, memoised per shape)
-prescribes; only the walk's current state is decoded into a move.
-``SimpletSampler.sample`` is the walk's one loop.  Its one memo maps each
-proposed state to its degree, and replaces that by the state's expansion
-when the walk enters it.
+vertices' bitsets, as its shape (the induced edges) prescribes; only the
+walk's current state is decoded into a move.  The expansion of a state is
+straight-line code generated once per state size (``_kernel``): it reads the
+shape from a per-size dict keyed by the integer of edge flags, filled as
+shapes are met, and overrides only the positions whose removal splits the
+state.  ``SimpletSampler.sample`` is the walk's one loop; it draws each move
+index from ``getrandbits`` exactly as ``Random.randrange`` would.  Its one
+memo maps each proposed state to its degree, and replaces that by the
+state's expansion when the walk enters it.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ import random
 import sys
 from collections.abc import Sequence
 from itertools import combinations
-from operator import or_
 
 from .complexes import Simplet, SimplicialComplex, skeleton_diameter
 from .errors import InputError, IntegrityError, StructuralError
@@ -71,19 +74,21 @@ class WalkConfig(Record):
 
 
 class _Shape:
-    """The moves of one shape, a state's induced edges as one flag per pair of
-    positions in ``combinations`` order.  ``removable`` lists the positions
-    whose removal keeps the state connected, ``parts[u]`` the components of
-    the state without u as position tuples; a vertex outside the state can
-    replace u when it neighbours every part of ``parts[u]``."""
+    """The moves of one shape: ``k`` positions whose induced edges are the set
+    bits of ``key``, one bit per pair of positions in ``combinations`` order.
+    ``removable`` lists the positions whose removal keeps the state
+    connected, ``parts[u]`` the components of the state without u as position
+    tuples; a vertex outside the state can replace u when it neighbours every
+    part of ``parts[u]``.  ``cuts`` holds ``(u, singles, multis)`` for each
+    position u with more than one part: the positions that are parts on
+    their own, and the larger parts."""
 
-    __slots__ = ("removable", "parts")
+    __slots__ = ("removable", "parts", "cuts")
 
-    def __init__(self, edges: tuple[bool, ...]):
-        k = (1 + math.isqrt(1 + 8 * len(edges))) // 2
+    def __init__(self, k: int, key: int):
         nb = [0] * k
-        for (i, j), edge in zip(combinations(range(k), 2), edges):
-            if edge:
+        for bit, (i, j) in enumerate(combinations(range(k), 2)):
+            if key >> bit & 1:
                 nb[i] |= 1 << j
                 nb[j] |= 1 << i
         self.parts = []
@@ -100,10 +105,66 @@ class _Shape:
                 rest ^= part
             self.parts.append(parts)
         self.removable = [u for u, parts in enumerate(self.parts) if len(parts) == 1 and k > 2]
+        self.cuts = tuple(
+            (u, tuple(p[0] for p in parts if len(p) == 1), tuple(p for p in parts if len(p) > 1))
+            for u, parts in enumerate(self.parts)
+            if len(parts) > 1
+        )
 
 
-# One per shape; fewer than 28k connected shapes have at most 6 positions.
-_shape = functools.cache(_Shape)
+@functools.cache
+def _kernel(k: int, m: int):
+    """The expansion of a k-vertex state as one function without loops over
+    positions or pairs, compiled once per (k, m).  It tests the state's pairs
+    for edges into an integer shape key, looks the key's ``_Shape`` up in a
+    dict of its own (filled on a miss, so only shapes met take room), and
+    gives every position the OR of the other positions' rows from prefix and
+    suffix ORs; only the cut positions, those with several parts, are then
+    overridden by the AND over their parts of each part's OR."""
+    pos = range(k)
+    # prefix[i] names the OR of rows 0..i for i < k - 1, suffix[i] that of
+    # rows i..k-1 for i > 0
+    prefix = ["r0"] + [f"p{i}" for i in range(1, k - 1)]
+    suffix = [None] + [f"q{i}" for i in range(1, k - 1)] + [f"r{k - 1}"]
+    others = [suffix[1]] + [f"{prefix[u - 1]} | {suffix[u + 1]}" for u in range(1, k - 1)]
+    key = " | ".join(
+        f"(s{j} in a{i}) << {bit}" for bit, (i, j) in enumerate(combinations(pos, 2))
+    )
+    lines = [
+        "def expand(adj, bits, state):",
+        f"    {', '.join(f's{i}' for i in pos)}, = state",
+        *(f"    a{i} = adj[s{i}]" for i in range(k - 1)),
+        f"    key = {key}",
+        "    try:",
+        "        shape = shapes[key]",
+        "    except KeyError:",
+        f"        shape = shapes[key] = _Shape({k}, key)",
+        f"    out = ~({' | '.join(f'1 << s{i}' for i in pos)})",
+        *(f"    r{i} = bits[s{i}] & out" for i in pos),
+        *(f"    p{i} = {prefix[i - 1]} | r{i}" for i in range(1, k - 1)),
+        *(f"    q{i} = r{i} | {suffix[i + 1]}" for i in range(k - 2, 0, -1)),
+        f"    swaps = [{', '.join(others + [prefix[k - 2]])}]",
+        "    if shape.cuts:",
+        f"        rows = ({', '.join(f'r{i}' for i in pos)},)",
+        "        for u, singles, multis in shape.cuts:",
+        "            common = -1",
+        "            for i in singles:",
+        "                common &= rows[i]",
+        "            for part in multis:",
+        "                reach = 0",
+        "                for i in part:",
+        "                    reach |= rows[i]",
+        "                common &= reach",
+        "            swaps[u] = common",
+        f"    adds = {prefix[k - 2]} | r{k - 1}" if k < m else "    adds = 0",
+        "    removable = shape.removable",
+        "    degree = adds.bit_count() + len(removable) + "
+        + " + ".join(f"swaps[{u}].bit_count()" for u in pos),
+        "    return degree, adds, removable, swaps",
+    ]
+    namespace = {"shapes": {}, "_Shape": _Shape}
+    exec(compile("\n".join(lines), f"<simplets kernel k={k} m={m}>", "exec"), namespace)
+    return namespace["expand"]
 
 
 def _expand(adj: Sequence[frozenset[int]], bits: Sequence[int], state: State, m: int) -> tuple:
@@ -112,23 +173,7 @@ def _expand(adj: Sequence[frozenset[int]], bits: Sequence[int], state: State, m:
     ``removable`` the removable positions, and ``swaps[u]`` the bitset of the
     outside vertices that can replace position u: those that neighbour every
     part of the state without u."""
-    shape = _shape(tuple([b in adj[a] for a, b in combinations(state, 2)]))
-    inside = 0
-    for v in state:
-        inside |= 1 << v
-    rows = [(bits[v] | inside) ^ inside for v in state]
-    swaps = []
-    for parts in shape.parts:
-        common = -1
-        for part in parts:
-            reach = 0
-            for i in part:
-                reach |= rows[i]
-            common &= reach
-        swaps.append(common)
-    adds = functools.reduce(or_, rows) if len(state) < m else 0
-    degree = adds.bit_count() + len(shape.removable) + sum(map(int.bit_count, swaps))
-    return degree, adds, shape.removable, swaps
+    return _kernel(len(state), m)(adj, bits, state)
 
 
 def _neighbor(state: State, expansion: tuple, index: int) -> State:
@@ -259,8 +304,8 @@ class SimpletSampler:
         entry is a degree expands it again and keeps that expansion."""
         rng, adj, bits, m = self._rng, self._adj, self._bits, self.config.m
         memo, cap = self._degree_cache, _CACHE_CAP
-        randrange, random_, expand, neighbor = rng.randrange, rng.random, _expand, _neighbor
-        state = self._edges[randrange(len(self._edges))]
+        getrandbits, random_, expand, neighbor = rng.getrandbits, rng.random, _expand, _neighbor
+        state = self._edges[rng.randrange(len(self._edges))]
         info = memo.get(state)
         if info.__class__ is not tuple:  # a chain start reuses only a kept expansion
             info = expand(adj, bits, state, m)
@@ -268,7 +313,12 @@ class SimpletSampler:
         for _ in range(self.burn_in):
             if d_s == 0:
                 raise IntegrityError("reached a sink state; impossible for a connected host")
-            proposal = neighbor(state, info, randrange(d_s))
+            # the move index as rng.randrange(d_s) draws it, without its two frames
+            width = d_s.bit_length()
+            index = getrandbits(width)
+            while index >= d_s:
+                index = getrandbits(width)
+            proposal = neighbor(state, info, index)
             entry = memo.get(proposal)
             if entry is None:
                 entry = expand(adj, bits, proposal, m)

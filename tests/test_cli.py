@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from simplets import exact_counts, generate_catalog, load_complex, required_samples
+from simplets import cli, exact_counts, generate_catalog, load_complex, required_samples
 from simplets.catalog import MAX_CATALOG_VERTICES
 from simplets.cli import build_parser, main
 
@@ -321,16 +321,25 @@ def test_validate_starts_no_more_workers_than_trials(capsys, tmp_path, monkeypat
             return map(fn, jobs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    assert cli._usable_cpus() >= 1
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 16)
     path = write_triangle(tmp_path)
     base = ["validate", "--input", path, "--m", "3", "--seed", "3", "--c-mix", "3"]
     _, serial, _ = run(capsys, base + ["--trials", "3"])
     _, pooled, _ = run(capsys, base + ["--trials", "3", "--threads", "64"])
-    assert workers == [3]
+    assert workers == [3]  # capped by the trials
     a, b = json.loads(serial), json.loads(pooled)
     assert b["params"]["threads"] == 64
     assert a["linf_errors"] == b["linf_errors"]
     run(capsys, base + ["--trials", "1", "--threads", "8"])  # one trial needs no pool
     assert workers == [3]
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    _, capped, _ = run(capsys, base + ["--trials", "6", "--threads", "5000"])
+    assert workers == [3, 2]  # capped by the CPUs
+    assert json.loads(capped)["params"]["threads"] == 5000
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    run(capsys, base + ["--trials", "3", "--threads", "64"])  # one CPU needs no pool
+    assert workers == [3, 2]
 
 
 def test_gen_complete(capsys):

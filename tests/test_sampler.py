@@ -414,23 +414,29 @@ def test_move_order_matches_the_segment_oracle(model):
             assert moves == oracles.segment_moves(adj, state, m), (state, m)
 
 
+def _connected_shapes(k):
+    """``(edges, nb)`` of every connected labelled graph on k positions: its
+    edge flags in ``combinations`` order and its neighbour bitmasks."""
+    pairs = list(combinations(range(k), 2))
+    for edges in range(1 << len(pairs)):
+        nb = [0] * k
+        for bit, (i, j) in enumerate(pairs):
+            if edges >> bit & 1:
+                nb[i] |= 1 << j
+                nb[j] |= 1 << i
+        if oracles.bit_connected(nb, (1 << k) - 1):
+            yield edges, nb
+
+
 def test_shape_matches_brute_force_connectivity():
     # Every connected labelled graph on k = 2..5 positions and every nonzero
     # attach mask: removable positions and, from the parts, swap positions
     # by exhaustive check.
     for k in range(2, 6):
-        pairs = list(combinations(range(k), 2))
         full = (1 << k) - 1
         rest = [full & ~(1 << u) for u in range(k)]
-        for edges in range(1 << len(pairs)):
-            nb = [0] * k
-            for bit, (i, j) in enumerate(pairs):
-                if edges >> bit & 1:
-                    nb[i] |= 1 << j
-                    nb[j] |= 1 << i
-            if not oracles.bit_connected(nb, full):
-                continue
-            shape = sampler_module._shape(tuple(bool(edges >> bit & 1) for bit in range(len(pairs))))
+        for edges, nb in _connected_shapes(k):
+            shape = sampler_module._Shape(k, edges)
             assert shape.removable == [
                 u for u in range(k) if k > 2 and oracles.bit_connected(nb, rest[u])
             ]
@@ -446,6 +452,41 @@ def test_shape_matches_brute_force_connectivity():
                     u for u, parts in enumerate(shape.parts)
                     if all(any(attach >> i & 1 for i in part) for part in parts)
                 ] == expected
+
+
+def test_kernel_matches_the_segment_oracle_on_every_shape():
+    # Every connected labelled graph on k = 2..5 positions as the state
+    # (0, ..., k-1), in a host with one outside vertex per nonempty attach
+    # mask: each cut-position override, removal and add meets the oracle.
+    for k in range(2, 6):
+        full = (1 << k) - 1
+        state = tuple(range(k))
+        for edges, nb in _connected_shapes(k):
+            facets = [{i, j} for i, j in combinations(range(k), 2) if nb[i] >> j & 1]
+            for attach in range(1, full + 1):
+                w = k - 1 + attach
+                facets += [{i, w} for i in range(k) if attach >> i & 1]
+            host = build_complex(facets, k + full)
+            adj, bits = host.adjacency, host._adjacency_bits()
+            for m in (k, k + 1):
+                expansion = sampler_module._expand(adj, bits, state, m)
+                moves = [sampler_module._neighbor(state, expansion, i) for i in range(expansion[0])]
+                assert moves == oracles.segment_moves(adj, state, m), (k, edges, m)
+
+
+def test_kernels_stay_one_per_state_size():
+    # The kernel is generated per state size and fills its shape table on
+    # demand, so a walk with many shapes compiles no more functions, and
+    # a large m allocates nothing per possible shape.
+    sampler_module._kernel.cache_clear()
+    sampler = SimpletSampler(_walk_zoo("flag"), WalkConfig(m=6, burn_in=300, rng_seed=1))
+    for _ in range(5):
+        sampler.sample()
+    assert sampler_module._kernel.cache_info().currsize <= 6 - 1
+    path12 = build_complex([{v, v + 1} for v in range(11)], 12)
+    assert len(SimpletSampler(path12, WalkConfig(m=9, burn_in=50)).sample().vertices) <= 9
+    state = tuple(range(2, 11))  # 36 pairs: a 2**36-slot key table would not fit
+    assert state_degree(path12, state, 9) == len(naive_neighbors(path12, state, 9)) == 4
 
 
 def test_swap_counts_on_a_wide_star():
