@@ -95,13 +95,16 @@ class _Shape:
         for u in range(k):
             rest, parts = ((1 << k) - 1) ^ (1 << u), []
             while rest:
-                part, grown = 0, rest & -rest
-                while grown != part:
-                    part = grown
-                    for i in range(k):
-                        if part >> i & 1:
-                            grown |= nb[i] & rest
-                parts.append(tuple(i for i in range(k) if part >> i & 1))
+                # grow the part from its lowest position, reading only the
+                # neighbours of the positions reached last round
+                part = new = rest & -rest
+                while new:
+                    reach = 0
+                    for i in _positions(new):
+                        reach |= nb[i]
+                    new = reach & rest & ~part
+                    part |= new
+                parts.append(_positions(part))
                 rest ^= part
             self.parts.append(parts)
         self.removable = [u for u, parts in enumerate(self.parts) if len(parts) == 1 and k > 2]
@@ -110,6 +113,12 @@ class _Shape:
             for u, parts in enumerate(self.parts)
             if len(parts) > 1
         )
+
+
+@functools.cache
+def _positions(mask: int) -> tuple[int, ...]:
+    """The set bits of ``mask``, lowest first; kept for the masks met."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 @functools.cache

@@ -52,6 +52,24 @@ def connected_on(complex_: SimplicialComplex, vertices) -> bool:
     return seen == vs
 
 
+def all_pairs_diameter(complex_: SimplicialComplex) -> int:
+    """The largest BFS eccentricity over every vertex of a connected skeleton."""
+    best = 0
+    for s in range(complex_.vertex_count):
+        dist = {s: 0}
+        frontier = [s]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for y in complex_.adjacency[x]:
+                    if y not in dist:
+                        dist[y] = dist[x] + 1
+                        nxt.append(y)
+            frontier = nxt
+        best = max(best, max(dist.values()))
+    return best
+
+
 def all_connected_subsets(complex_: SimplicialComplex, m: int) -> list[tuple[int, ...]]:
     """Connected vertex sets of size 2..m via the full 2^n scan."""
     n = complex_.vertex_count

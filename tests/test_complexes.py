@@ -177,61 +177,54 @@ def test_skeleton_diameter_small_cases(facets, n, expected):
 
 
 def test_skeleton_diameter_matches_brute_force():
-    def brute_diameter(complex_):
-        n = complex_.vertex_count
-        best = 0
-        for s in range(n):
-            dist = {s: 0}
-            frontier = [s]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for y in complex_.adjacency[x]:
-                        if y not in dist:
-                            dist[y] = dist[x] + 1
-                            nxt.append(y)
-                frontier = nxt
-            best = max(best, max(dist.values()))
-        return best
-
     for complex_ in random_complexes(15, seed=104):
         if len(connected_components(complex_)) != 1:
             continue
-        assert skeleton_diameter(complex_).value == brute_diameter(complex_)
+        assert skeleton_diameter(complex_).value == oracles.all_pairs_diameter(complex_)
     # Sparse, tree-like complexes have long peripheral paths (diameters 7 to 14).
     for seed in range(20):
         spec = GenSpec("flag", 60, 2.2 / 59, seed=seed)
         complex_ = largest_connected_restriction(generate(spec)).complex
-        assert skeleton_diameter(complex_).value == brute_diameter(complex_)
+        assert skeleton_diameter(complex_).value == oracles.all_pairs_diameter(complex_)
 
 
-def test_skeleton_diameter_of_long_path_takes_few_passes(monkeypatch):
-    calls = []
-    bfs = complexes._bfs_distances
+def _flag_host(n, seed):
+    spec = GenSpec("flag", n, 8 / (n - 1), seed=seed)
+    return largest_connected_restriction(generate(spec)).complex
 
-    def counting_bfs(complex_, start):
-        calls.append(start)
-        return bfs(complex_, start)
 
-    monkeypatch.setattr(complexes, "_bfs_distances", counting_bfs)
+@pytest.mark.parametrize("seed", range(4))
+def test_skeleton_diameter_on_multi_word_balls(seed):
+    # n = 300 balls span ten 30-bit integer digits.
+    complex_ = _flag_host(300, seed)
+    assert skeleton_diameter(complex_).value == oracles.all_pairs_diameter(complex_)
+
+
+@pytest.mark.slow
+def test_skeleton_diameter_on_a_large_host():
+    complex_ = _flag_host(2000, 0)
+    assert skeleton_diameter(complex_).value == oracles.all_pairs_diameter(complex_)
+
+
+def test_skeleton_diameter_of_long_path():
+    # Every ball grows for at least 1500 levels here.
     path = build_complex([{v, v + 1} for v in range(2999)], 3000)
     assert skeleton_diameter(path).value == 2999
-    assert len(calls) <= 10
 
 
 def test_skeleton_diameter_computed_once_per_complex(monkeypatch):
     calls = []
-    bfs = complexes._bfs_distances
+    compute = complexes._compute_diameter
 
-    def counting_bfs(complex_, start):
-        calls.append(start)
-        return bfs(complex_, start)
+    def counting_compute(complex_):
+        calls.append(complex_)
+        return compute(complex_)
 
-    monkeypatch.setattr(complexes, "_bfs_distances", counting_bfs)
+    monkeypatch.setattr(complexes, "_compute_diameter", counting_compute)
     complex_ = build_complex([{0, 1, 2}, {2, 3}, {3, 4}], 5)
     first = skeleton_diameter(complex_)
     assert first.value == 3
-    assert 1 <= len(calls) <= complex_.vertex_count
+    assert calls == [complex_]
     calls.clear()
     assert skeleton_diameter(complex_) == first
     assert burn_in_steps(complex_, 1.0) >= 1
@@ -242,10 +235,22 @@ def test_skeleton_diameter_computed_once_per_complex(monkeypatch):
     for _ in range(2):
         with pytest.raises(StructuralError):
             skeleton_diameter(disconnected)
-    assert len(calls) == 2
+    assert calls == [disconnected, disconnected]
 
 
 def test_skeleton_diameter_disconnected_names_vertices():
-    complex_ = build_complex([{0, 1}, {2, 3}], 4)
-    with pytest.raises(StructuralError, match=r"\d+ and \d+"):
-        skeleton_diameter(complex_)
+    cases = [
+        ([{0, 1}, {2, 3}], 4, 2),
+        ([{0, 1}, {1, 2}, {3, 4}], 5, 3),
+        ([{1, 2}], 3, 1),  # vertex 0 isolated
+        # {10, 11} stops growing while the ball of 0 still grows.
+        ([{v, v + 1} for v in range(9)] + [{10, 11}], 12, 10),
+    ]
+    for facets, n, missing in cases:
+        message = (
+            f"1-skeleton is disconnected: no path between vertices 0 and {missing}; "
+            "restrict to the largest connected component (--largest-component)"
+        )
+        with pytest.raises(StructuralError) as info:
+            skeleton_diameter(build_complex(facets, n))
+        assert str(info.value) == message
