@@ -165,20 +165,25 @@ def _key(k: int, mask: int) -> SimpletTypeKey:
 def canonical_form(vertex_count: int, simplices: Iterable[Iterable[int]]) -> SimpletTypeKey:
     """Canonical key of a complex given over local labels ``[0, vertex_count)``.
 
-    ``simplices`` must list every simplex of dimension >= 1 (vertices are
-    implied).  The result is invariant under any relabeling of the input.
+    ``simplices`` must list every simplex of dimension >= 1 with all of its
+    faces (vertices are implied), else :class:`InputError`.  The result is
+    invariant under any relabeling of the input.
     """
     if vertex_count < 2:
         raise InputError("a simplet type needs at least two vertices")
     _tables(vertex_count)  # rejects k > 6 before the 2**k layout is built
-    weight = {s: w for s, w, _ in simplex_layout(vertex_count)}
+    layout = {s: (w, faces) for s, w, faces in simplex_layout(vertex_count)}
+    listed = {tuple(sorted(s)) for s in simplices}
     mask = 0
-    for s in {tuple(sorted(s)) for s in simplices}:
-        if s not in weight:
+    for s in listed:
+        if s not in layout:
             raise InputError(
                 f"simplex {s} is not a set of at least two distinct labels in [0, {vertex_count})"
             )
-        mask |= weight[s]
+        mask |= layout[s][0]
+    for s in sorted(listed):
+        if layout[s][1] & ~mask:
+            raise InputError(f"simplex {s} is listed without all of its faces")
     return _key(vertex_count, _canonical_mask(vertex_count, mask))
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from collections import deque, namedtuple
+from collections import namedtuple
 from collections.abc import Iterable
 from itertools import combinations
 
@@ -32,13 +32,11 @@ __all__ = [
 class SimplicialComplex:
     """Immutable simplicial complex over dense vertex ids ``[0, n)``.
 
-    Construct through :func:`build_complex`; instances are safe for concurrent
-    read access.  ``_diameter`` memoises :func:`skeleton_diameter`, and
-    ``_bits`` :meth:`_adjacency_bits`.  The diameter grows balls on those
-    bitsets, level by level, until every ball holds all n vertices: at most
-    n * diam * (mean degree + 1) big-integer ORs and two transient n²/8-byte
-    tables, so it slows with the diameter (seconds on a 3000-vertex path,
-    where one sample walks about 1.4e8 steps).
+    Construct through :func:`build_complex`, or from facets already in its
+    order, as ``largest_connected_restriction`` does; instances are safe for
+    concurrent read access.  ``_diameter`` memoises :func:`skeleton_diameter`,
+    and ``_bits`` :meth:`_adjacency_bits`.  Every connectivity query on the
+    1-skeleton runs one component search, :func:`_component`.
     """
 
     __slots__ = (
@@ -93,30 +91,14 @@ class SimplicialComplex:
             self._bits = tuple(bits)
         return self._bits
 
-    def _check_vertices(self, vertices: Iterable[int]) -> tuple[int, ...]:
-        vs = tuple(vertices)
-        if not vs:
-            raise InputError("vertex set must be non-empty")
+    def skeleton_connected_on(self, vertices: Iterable[int]) -> bool:
+        """True iff the 1-skeleton induced on the given vertices is connected;
+        False for no vertices, InputError for an id outside ``[0, n)``."""
+        vs = set(vertices)
         for v in vs:
             if not (0 <= v < self.vertex_count):
                 raise InputError(f"vertex id {v} out of range [0, {self.vertex_count})")
-        return vs
-
-    def skeleton_connected_on(self, vertices: Iterable[int]) -> bool:
-        """True iff the 1-skeleton induced on the given vertices is connected."""
-        vs = set(vertices)
-        if not vs:
-            return False
-        start = next(iter(vs))
-        seen = {start}
-        queue = deque((start,))
-        while queue:
-            u = queue.popleft()
-            for w in self.adjacency[u] & vs:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == len(vs)
+        return bool(vs) and len(_component(self.adjacency, min(vs), vs)) == len(vs)
 
 
 class Simplet(Record):
@@ -238,7 +220,7 @@ def induced_subcomplex(complex_: SimplicialComplex, vertices: Iterable[int]) -> 
     Requires at least two vertices; the result contains every simplex of the
     host whose vertices lie in the given set.
     """
-    vs = tuple(sorted(set(complex_._check_vertices(vertices))))
+    vs = tuple(sorted(set(vertices)))
     if len(vs) < 2:
         raise InputError("a simplet needs at least two vertices")
     if not complex_.skeleton_connected_on(vs):
@@ -246,24 +228,32 @@ def induced_subcomplex(complex_: SimplicialComplex, vertices: Iterable[int]) -> 
     return Simplet(complex_, vs)
 
 
+def _component(
+    adjacency: tuple[frozenset[int], ...], start: int, within: set[int] | None = None
+) -> set[int]:
+    """The vertices the 1-skeleton joins to ``start``, passing only through
+    ``within`` when given (``start`` must lie in it): breadth-first, one set
+    union of neighbour sets per level."""
+    seen = {start}
+    frontier = {start}
+    while frontier:
+        frontier = set().union(*[adjacency[u] for u in frontier]) - seen
+        if within is not None:
+            frontier &= within
+        seen |= frontier
+    return seen
+
+
 def connected_components(complex_: SimplicialComplex) -> list[list[int]]:
-    """Connected components of the 1-skeleton (isolated vertices are singletons)."""
-    seen = [False] * complex_.vertex_count
+    """Connected components of the 1-skeleton, each sorted, in order of their
+    lowest vertex (isolated vertices are singletons)."""
+    seen: set[int] = set()
     components: list[list[int]] = []
     for v in range(complex_.vertex_count):
-        if seen[v]:
-            continue
-        seen[v] = True
-        comp = [v]
-        queue = deque((v,))
-        while queue:
-            u = queue.popleft()
-            for w in complex_.adjacency[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        components.append(sorted(comp))
+        if v not in seen:
+            component = _component(complex_.adjacency, v)
+            seen |= component
+            components.append(sorted(component))
     return components
 
 
@@ -315,7 +305,7 @@ def _compute_diameter(complex_: SimplicialComplex) -> DiameterEstimate:
         still = []
         for v, ball in zip(growing, grown):
             if ball == balls[v]:
-                outside = set(range(n)).difference(connected_components(complex_)[0])
+                outside = set(range(n)).difference(_component(adjacency, 0))
                 raise StructuralError(
                     f"1-skeleton is disconnected: no path between vertices 0 and {min(outside)}; "
                     "restrict to the largest connected component (--largest-component)"

@@ -121,11 +121,12 @@ def largest_connected_restriction(complex_: SimplicialComplex) -> RestrictionRes
     if len(components) == 1:
         return RestrictionResult(complex_, tuple(components[0]))
     best = max(components, key=lambda comp: (len(comp), -min(comp)))
-    keep = set(best)
     relabel = {old: new for new, old in enumerate(best)}
-    facets = [
-        tuple(relabel[v] for v in facet)
+    # A facet lies inside one component, and an increasing relabelling keeps
+    # build_complex's facet order, so the kept facets need no second build.
+    facets = tuple(
+        frozenset(relabel[v] for v in facet)
         for facet in complex_.facets
-        if keep.issuperset(facet)
-    ]
-    return RestrictionResult(build_complex(facets, len(best)), tuple(best))
+        if next(iter(facet)) in relabel
+    )
+    return RestrictionResult(SimplicialComplex(len(best), facets), tuple(best))

@@ -1,9 +1,10 @@
 """Facet-file parsing and writing.
 
 Format: one facet per line, whitespace-separated vertex labels; ``#`` starts
-a comment line and blank lines are ignored.  Labels are arbitrary tokens and
-are mapped to dense integer ids in order of first appearance; the mapping is
-returned so outputs can echo the original labels.
+a comment line and blank lines are ignored.  Files are read as UTF-8, with a
+leading byte-order mark dropped.  Labels are arbitrary tokens, mapped to dense
+integer ids in order of first appearance; the mapping is returned so outputs
+can echo the original labels.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ ParsedFacets = namedtuple("ParsedFacets", "facets labels")
 def _lines(source: str | os.PathLike | Iterable[str]) -> Iterable[str]:
     if isinstance(source, (str, os.PathLike)):
         try:
-            handle = open(source, "r", encoding="utf-8", errors="surrogateescape")
+            handle = open(source, "r", encoding="utf-8-sig", errors="surrogateescape")
         except OSError as exc:
             raise InputError(f"cannot read facet file {source}: {exc}") from exc
         with handle:

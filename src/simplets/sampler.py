@@ -220,7 +220,7 @@ def _neighbor(state: State, expansion: tuple, index: int) -> State:
 def _walk_state(complex_: SimplicialComplex, state: Sequence[int], m: int) -> State:
     """``state`` as a sorted walk state; InputError unless it holds 2..m
     distinct vertices of ``complex_`` whose induced skeleton is connected."""
-    vs = complex_._check_vertices(state)
+    vs = tuple(state)
     s = tuple(sorted(set(vs)))
     if len(s) != len(vs) or not 2 <= len(s) <= m:
         raise InputError(f"a state has 2..{m} distinct vertices, got {vs}")

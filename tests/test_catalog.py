@@ -129,6 +129,21 @@ def test_canonical_form_equals_tuple_sort_minimum():
                 assert key.simplices == expected
 
 
+def test_canonical_form_rejects_a_simplex_without_its_faces(catalog3):
+    cases = [
+        (3, [(0, 1, 2)], r"\(0, 1, 2\)"),
+        (3, [(0, 1), (1, 2), (0, 1, 2)], r"\(0, 1, 2\)"),
+        # (1, 2, 3) has its faces; (0, 1, 2) lacks (0, 2).
+        (4, [(0, 1), (1, 2), (2, 3), (1, 3), (1, 2, 3), (2, 1, 0)], r"\(0, 1, 2\)"),
+    ]
+    for k, simplices, named in cases:
+        with pytest.raises(InputError, match=named):
+            canonical_form(k, simplices)
+    # A closed list is still classified, even with a disconnected skeleton.
+    assert catalog3.index_of(canonical_form(3, [(0, 1), (0, 2), (1, 2), (0, 1, 2)])) == 3
+    assert canonical_form(4, [(0, 1), (2, 3)]).vertex_count == 4
+
+
 def relabeled_mask(key, perm):
     weight = {s: w for s, w, _ in simplex_layout(key.vertex_count)}
     return sum(weight[s] for s in relabeled(key.simplices, perm))

@@ -137,6 +137,35 @@ def test_induced_subcomplex_input_errors(filled_triangle):
         induced_subcomplex(filled_triangle, {0, 9})
 
 
+def test_skeleton_connected_on_checks_vertex_ids(path3):
+    for vertices in ([-1], [0, 3], [3, 5], [0, 1, -1]):
+        with pytest.raises(InputError, match="out of range"):
+            path3.skeleton_connected_on(vertices)
+    assert path3.skeleton_connected_on([]) is False
+    assert path3.skeleton_connected_on([1]) is True
+    assert path3.skeleton_connected_on([2, 0]) is False
+
+
+def test_component_queries_match_the_oracle_on_disconnected_complexes():
+    rng = random.Random(9)
+    disconnected = [
+        c for c in random_complexes(60, seed=105) if len(connected_components(c)) > 1
+    ]
+    assert len(disconnected) >= 5
+    for complex_ in disconnected:
+        n = complex_.vertex_count
+        components = connected_components(complex_)
+        assert sorted(v for comp in components for v in comp) == list(range(n))
+        assert [comp[0] for comp in components] == sorted(comp[0] for comp in components)
+        for comp in components:
+            assert comp == sorted(comp) and oracles.connected_on(complex_, comp)
+            assert all(complex_.adjacency[v] <= set(comp) for v in comp)
+        for _ in range(20):
+            vertices = rng.sample(range(n), rng.randint(1, n))
+            expected = oracles.connected_on(complex_, vertices)
+            assert complex_.skeleton_connected_on(vertices) == expected
+
+
 def test_induced_subcomplex_matches_exhaustive_subset_scan():
     rng = random.Random(7)
     for complex_ in random_complexes(15, max_n=10, seed=103):

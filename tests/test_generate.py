@@ -8,6 +8,7 @@ from simplets import (
     InputError,
     StructuralError,
     build_complex,
+    connected_components,
     exact_counts,
     generate,
     largest_connected_restriction,
@@ -97,6 +98,25 @@ def test_restriction_picks_larger_component():
     assert original == (2, 3, 4)
     assert restricted.vertex_count == 3
     assert sorted(tuple(sorted(f)) for f in restricted.facets) == [(0, 1), (1, 2)]
+
+
+@pytest.mark.parametrize("model, n", [("flag", 200), ("lm", 300)])
+@pytest.mark.parametrize("seed", range(4))
+def test_restriction_equals_a_build_of_the_relabelled_facets(model, n, seed):
+    complex_ = generate(GenSpec(model, n, 0.01, p_tri=0.5, p_tet=0.5, seed=seed))
+    components = connected_components(complex_)
+    assert len(components) > 1
+    restricted, original = largest_connected_restriction(complex_)
+    assert original == tuple(max(components, key=lambda comp: (len(comp), -comp[0])))
+    relabel = {old: new for new, old in enumerate(original)}
+    built = build_complex(
+        [[relabel[v] for v in facet] for facet in complex_.facets if facet <= relabel.keys()],
+        len(original),
+    )
+    assert restricted.vertex_count == built.vertex_count
+    assert [tuple(f) for f in restricted.facets] == [tuple(f) for f in built.facets]
+    assert restricted.adjacency == built.adjacency
+    assert restricted.edges() == built.edges()
 
 
 def test_restriction_requires_edges():

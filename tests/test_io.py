@@ -6,7 +6,9 @@ from simplets import (
     GenSpec,
     InputError,
     build_complex,
+    exact_counts,
     generate,
+    generate_catalog,
     load_complex,
     read_facets,
     write_facets,
@@ -43,6 +45,16 @@ def test_read_rejects_non_utf8_file_naming_file_and_line(tmp_path):
     path.write_bytes("a b\nb c\n\u00e9 a\n".encode("latin-1"))
     with pytest.raises(InputError, match=r"latin1\.txt: line 3 is not valid UTF-8"):
         read_facets(path)
+
+
+def test_read_drops_a_utf8_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.txt"
+    path.write_bytes(b"\xef\xbb\xbfa b\nb c\na c\n")
+    facets, labels = read_facets(path)
+    assert labels == ["a", "b", "c"]
+    assert facets == [(0, 1), (1, 2), (0, 2)]
+    complex_, _ = load_complex(path)
+    assert list(exact_counts(complex_, generate_catalog(3)).counts) == [3, 0, 1, 0]
 
 
 def test_read_rejects_empty_input():
