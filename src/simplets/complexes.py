@@ -91,13 +91,26 @@ class SimplicialComplex:
             self._bits = tuple(bits)
         return self._bits
 
-    def skeleton_connected_on(self, vertices: Iterable[int]) -> bool:
-        """True iff the 1-skeleton induced on the given vertices is connected;
-        False for no vertices, InputError for an id outside ``[0, n)``."""
-        vs = set(vertices)
-        for v in vs:
+    def _vertex_set(self, vertices: Iterable[int]) -> set[int]:
+        """The given ids as a set of ints, each taken through
+        ``operator.index``; InputError for a non-integer id or one outside
+        ``[0, n)``."""
+        vs = set()
+        for v in vertices:
+            try:
+                v = operator.index(v)
+            except TypeError as exc:
+                raise InputError(f"non-integer vertex id {v!r}") from exc
             if not (0 <= v < self.vertex_count):
                 raise InputError(f"vertex id {v} out of range [0, {self.vertex_count})")
+            vs.add(v)
+        return vs
+
+    def skeleton_connected_on(self, vertices: Iterable[int]) -> bool:
+        """True iff the 1-skeleton induced on the given vertices is connected;
+        False for no vertices, InputError for a non-integer id or one outside
+        ``[0, n)``."""
+        vs = self._vertex_set(vertices)
         return bool(vs) and len(_component(self.adjacency, min(vs), vs)) == len(vs)
 
 
@@ -220,7 +233,7 @@ def induced_subcomplex(complex_: SimplicialComplex, vertices: Iterable[int]) -> 
     Requires at least two vertices; the result contains every simplex of the
     host whose vertices lie in the given set.
     """
-    vs = tuple(sorted(set(vertices)))
+    vs = tuple(sorted(complex_._vertex_set(vertices)))
     if len(vs) < 2:
         raise InputError("a simplet needs at least two vertices")
     if not complex_.skeleton_connected_on(vs):

@@ -13,7 +13,10 @@ walk's current state is decoded into a move.  The expansion of a state is
 straight-line code generated once per state size (``_kernel``): it reads the
 shape from a per-size dict keyed by the integer of edge flags, filled as
 shapes are met, and overrides only the positions whose removal splits the
-state.  ``SimpletSampler.sample`` is the walk's one loop; it draws each move
+state, each by a generated one-line function of that position's partition
+of the others (``_cut``): a bounded family, 395 functions up to m = 6,
+where one function per shape would be thousands.
+``SimpletSampler.sample`` is the walk's one loop; it draws each move
 index from ``getrandbits`` exactly as ``Random.randrange`` would.  Its one
 memo maps each proposed state to its degree, and replaces that by the
 state's expansion when the walk enters it.
@@ -79,9 +82,9 @@ class _Shape:
     ``removable`` lists the positions whose removal keeps the state
     connected, ``parts[u]`` the components of the state without u as position
     tuples; a vertex outside the state can replace u when it neighbours every
-    part of ``parts[u]``.  ``cuts`` holds ``(u, singles, multis)`` for each
-    position u with more than one part: the positions that are parts on
-    their own, and the larger parts."""
+    part of ``parts[u]``.  ``cuts`` holds ``(u, cut)`` for each position u
+    with more than one part, ``cut`` the generated function of the state's
+    rows that gives u's swaps (``_cut``)."""
 
     __slots__ = ("removable", "parts", "cuts")
 
@@ -109,9 +112,7 @@ class _Shape:
             self.parts.append(parts)
         self.removable = [u for u, parts in enumerate(self.parts) if len(parts) == 1 and k > 2]
         self.cuts = tuple(
-            (u, tuple(p[0] for p in parts if len(p) == 1), tuple(p for p in parts if len(p) > 1))
-            for u, parts in enumerate(self.parts)
-            if len(parts) > 1
+            (u, _cut(k, tuple(parts))) for u, parts in enumerate(self.parts) if len(parts) > 1
         )
 
 
@@ -122,6 +123,22 @@ def _positions(mask: int) -> tuple[int, ...]:
 
 
 @functools.cache
+def _cut(k: int, parts: tuple[tuple[int, ...], ...]):
+    """The swaps of a cut position whose removal splits a k-vertex state into
+    ``parts``: a function of the state's rows ``r0 .. r{k-1}`` that returns
+    the AND over the parts of each part's OR, as one expression, compiled once
+    per (k, parts).  The parts of the positions other than one determine it,
+    so up to m = 6 at most 395 exist (k * (B(k - 1) - 1) summed over k, B the
+    Bell numbers), and only those met are compiled."""
+    rows = ", ".join(f"r{i}" for i in range(k))
+    body = " & ".join(f"({' | '.join(f'r{i}' for i in part)})" for part in parts)
+    namespace = {}
+    exec(compile(f"def cut({rows}): return {body}", f"<simplets cut k={k} {parts}>", "exec"),
+         namespace)
+    return namespace["cut"]
+
+
+@functools.cache
 def _kernel(k: int, m: int):
     """The expansion of a k-vertex state as one function without loops over
     positions or pairs, compiled once per (k, m).  It tests the state's pairs
@@ -129,7 +146,8 @@ def _kernel(k: int, m: int):
     dict of its own (filled on a miss, so only shapes met take room), and
     gives every position the OR of the other positions' rows from prefix and
     suffix ORs; only the cut positions, those with several parts, are then
-    overridden by the AND over their parts of each part's OR."""
+    overridden by their partition's ``_cut`` function.  At k = m nothing can
+    be added, so the degree line counts no adds."""
     pos = range(k)
     # prefix[i] names the OR of rows 0..i for i < k - 1, suffix[i] that of
     # rows i..k-1 for i > 0
@@ -153,21 +171,11 @@ def _kernel(k: int, m: int):
         *(f"    p{i} = {prefix[i - 1]} | r{i}" for i in range(1, k - 1)),
         *(f"    q{i} = r{i} | {suffix[i + 1]}" for i in range(k - 2, 0, -1)),
         f"    swaps = [{', '.join(others + [prefix[k - 2]])}]",
-        "    if shape.cuts:",
-        f"        rows = ({', '.join(f'r{i}' for i in pos)},)",
-        "        for u, singles, multis in shape.cuts:",
-        "            common = -1",
-        "            for i in singles:",
-        "                common &= rows[i]",
-        "            for part in multis:",
-        "                reach = 0",
-        "                for i in part:",
-        "                    reach |= rows[i]",
-        "                common &= reach",
-        "            swaps[u] = common",
+        "    for u, cut in shape.cuts:",
+        f"        swaps[u] = cut({', '.join(f'r{i}' for i in pos)})",
         f"    adds = {prefix[k - 2]} | r{k - 1}" if k < m else "    adds = 0",
         "    removable = shape.removable",
-        "    degree = adds.bit_count() + len(removable) + "
+        "    degree = " + ("adds.bit_count() + " if k < m else "") + "len(removable) + "
         + " + ".join(f"swaps[{u}].bit_count()" for u in pos),
         "    return degree, adds, removable, swaps",
     ]
@@ -191,25 +199,29 @@ def _neighbor(state: State, expansion: tuple, index: int) -> State:
     that joins is the index-th lowest set bit of the move's bitset."""
     _degree, mask, removable, swaps = expansion
     rest = state
-    if index >= mask.bit_count():
-        index -= mask.bit_count()
-        if index < len(removable):
+    count = mask.bit_count()
+    if index >= count:
+        index -= count
+        count = len(removable)
+        if index < count:
             u = removable[index]
             return state[:u] + state[u + 1:]
-        index -= len(removable)
+        index -= count
         for u, mask in enumerate(swaps):
-            if index < mask.bit_count():
+            count = mask.bit_count()
+            if index < count:
                 rest = state[:u] + state[u + 1:]
                 break
-            index -= mask.bit_count()
+            index -= count
         else:
             raise IntegrityError("neighbor index out of range; degree bookkeeping is broken")
     base = 0
     while index > 4:  # halve the mask while many set bits precede the one sought
         half = mask.bit_length() >> 1
-        count = (mask & ((1 << half) - 1)).bit_count()
+        low = mask & ((1 << half) - 1)
+        count = low.bit_count()
         if index < count:
-            mask &= (1 << half) - 1
+            mask = low
         else:
             index, mask, base = index - count, mask >> half, base + half
     for _ in range(index):
@@ -221,7 +233,7 @@ def _walk_state(complex_: SimplicialComplex, state: Sequence[int], m: int) -> St
     """``state`` as a sorted walk state; InputError unless it holds 2..m
     distinct vertices of ``complex_`` whose induced skeleton is connected."""
     vs = tuple(state)
-    s = tuple(sorted(set(vs)))
+    s = tuple(sorted(complex_._vertex_set(vs)))
     if len(s) != len(vs) or not 2 <= len(s) <= m:
         raise InputError(f"a state has 2..{m} distinct vertices, got {vs}")
     if not complex_.skeleton_connected_on(s):

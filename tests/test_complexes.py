@@ -20,6 +20,8 @@ from simplets import (
     induced_subcomplex,
     largest_connected_restriction,
     skeleton_diameter,
+    state_degree,
+    state_neighbors,
 )
 from simplets import complexes
 
@@ -144,6 +146,27 @@ def test_skeleton_connected_on_checks_vertex_ids(path3):
     assert path3.skeleton_connected_on([]) is False
     assert path3.skeleton_connected_on([1]) is True
     assert path3.skeleton_connected_on([2, 0]) is False
+
+
+def test_vertex_queries_reject_non_integer_ids(path3):
+    for vertices in ([0.0, 1.0], [0, 1.5], ["0", 1], [None]):
+        with pytest.raises(InputError, match="non-integer vertex id"):
+            path3.skeleton_connected_on(vertices)
+        with pytest.raises(InputError, match="non-integer vertex id"):
+            induced_subcomplex(path3, vertices)
+    with pytest.raises(InputError, match="non-integer vertex id"):
+        state_degree(path3, (0, 1.0), 3)
+
+
+def test_vertex_queries_use_the_integer_ids(path3):
+    # bool and other operator.index types are normalised to plain ints
+    assert path3.skeleton_connected_on([True, 2]) is True
+    simplet = induced_subcomplex(path3, [True, 2])
+    assert simplet.vertices == (1, 2)
+    assert all(type(v) is int for v in simplet.vertices)
+    assert state_neighbors(path3, [True, 2], 3) == [(0, 1), (0, 1, 2)]
+    with pytest.raises(InputError):  # True and 1 are one vertex, given twice
+        state_degree(path3, (True, 1), 3)
 
 
 def test_component_queries_match_the_oracle_on_disconnected_complexes():

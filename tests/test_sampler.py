@@ -489,6 +489,59 @@ def test_kernels_stay_one_per_state_size():
     assert state_degree(path12, state, 9) == len(naive_neighbors(path12, state, 9)) == 4
 
 
+def _set_partitions(items):
+    """Every partition of ``items`` into nonempty lists."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for partition in _set_partitions(rest):
+        for i in range(len(partition)):
+            yield partition[:i] + [[first] + partition[i]] + partition[i + 1:]
+        yield [[first]] + partition
+
+
+def test_cut_functions_and_their_bound():
+    # Every way a position u can be a cut position of a k-vertex state,
+    # k = 3..6: the other positions split into at least two parts, listed
+    # as _Shape lists them.  The generated function is the AND over the
+    # parts of each part's OR, on rows many machine words up.
+    rng = random.Random(22)
+    count = 0
+    for k in range(3, 7):
+        for u in range(k):
+            others = [i for i in range(k) if i != u]
+            for partition in _set_partitions(others):
+                if len(partition) < 2:
+                    continue
+                parts = tuple(sorted(tuple(sorted(part)) for part in partition))
+                cut = sampler_module._cut(k, parts)
+                for _ in range(3):
+                    rows = [rng.getrandbits(2000) << 1000 for _ in range(k)]
+                    expected = -1
+                    for part in parts:
+                        reach = 0
+                        for i in part:
+                            reach |= rows[i]
+                        expected &= reach
+                    assert cut(*rows) == expected, (k, parts)
+                count += 1
+    assert count == sum(k * (b - 1) for k, b in [(3, 2), (4, 5), (5, 15), (6, 52)]) == 395
+
+
+def test_an_m6_walk_compiles_at_most_the_bounded_cut_family():
+    # Cut functions are compiled per (state size, partition), never per
+    # shape: an m = 6 walk meets thousands of shapes but at most 395
+    # partitions, and still one kernel per state size.
+    sampler_module._kernel.cache_clear()
+    sampler_module._cut.cache_clear()
+    sampler = SimpletSampler(_walk_zoo("flag"), WalkConfig(m=6, burn_in=300, rng_seed=1))
+    for _ in range(5):
+        sampler.sample()
+    assert 0 < sampler_module._cut.cache_info().currsize <= 395
+    assert sampler_module._kernel.cache_info().currsize <= 6 - 1
+
+
 def test_swap_counts_on_a_wide_star():
     # A star: from a state of the centre and leaves, every other leaf can be
     # added and can replace a leaf, so the masks span many machine words.
