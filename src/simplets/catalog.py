@@ -49,20 +49,29 @@ _CATALOG_SIZES = {2: 1, 3: 4, 4: 18, 5: 175, 6: 16117}
 def _tables(k: int) -> dict[tuple[int, ...], tuple[int, ...]]:
     """One weight table per relabeling of ``range(k)``, keyed by its vertex
     order (the vertex that gets label 0 first): entry ``b`` is the weight
-    that the subset of weight ``2 ** b`` is relabeled to."""
+    that the subset of weight ``2 ** b`` is relabeled to.
+
+    Subsets are vertex bitmasks here.  A relabeling's image of every bitmask
+    is built from the bitmask without its lowest vertex, and each table reads
+    the weights of the images of the simplex subsets."""
     if k > MAX_CATALOG_VERTICES:
         raise InputError(
             f"canonicalization supports at most {MAX_CATALOG_VERTICES} vertices, got {k}"
         )
-    weight = {s: w for s, w, _ in simplex_layout(k)}
+    weight = [0] * (1 << k)
+    for s, w, _ in simplex_layout(k):
+        weight[sum(1 << v for v in s)] = w
+    cells = sorted((c for c in range(1 << k) if weight[c]), key=weight.__getitem__)
+    steps = [(c, c & (c - 1), (c & -c).bit_length() - 1) for c in range(1, 1 << k)]
+    image = [0] * (1 << k)
     tables = {}
     for perm in permutations(range(k)):
+        for c, rest, v in steps:
+            image[c] = image[rest] | 1 << perm[v]
         order = [0] * k
         for v, label in enumerate(perm):
             order[label] = v
-        tables[tuple(order)] = tuple(
-            weight[tuple(sorted(perm[v] for v in s))] for s in reversed(weight)
-        )
+        tables[tuple(order)] = tuple([weight[image[c]] for c in cells])
     return tables
 
 

@@ -6,9 +6,12 @@ connected subset appears exactly once without a global seen-set (the ESU
 scheme of Wernicke, TCBB 2006).  It carries each subset's simplex mask, over
 the positions in insertion order, from parent to child: adding a vertex tests
 only the simplices that end at its position and whose other vertices it
-neighbours.  The recursion tallies the subsets per ``(size, mask)``, so exact
+neighbours.  The last level is tallied in its parent's loop rather than
+recursed into, and the leaves that attach only to the newest vertex count as
+one.  The recursion tallies the subsets per ``(size, mask)``, so exact
 counting classifies each distinct position-labelled mask once instead of each
-subset; enumeration collects the subsets root by root.
+subset, straight from the mask; enumeration collects the subsets root by
+root.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ import functools
 import operator
 from collections.abc import Iterable, Iterator
 
-from .catalog import SimpletCatalog, canonical_form
-from .complexes import SimplicialComplex, decode_mask, simplex_layout
+from .catalog import SimpletCatalog, _canonical_mask, _key
+from .complexes import SimplicialComplex, simplex_layout
 from .errors import InputError, StructuralError
 from .record import Record
 
@@ -113,11 +116,19 @@ def _esu(
     when all of its faces are present and its vertices share a facet, as
     ``Simplet.mask()`` does: the other vertices are read from ``sub`` and
     their facet sets from the complex's incidence.
+
+    The m-sets are the leaves.  The loop that adds an (m - 1)-set
+    ``sub + (w,)`` tallies its leaves in place instead of recursing: a later
+    candidate of ``sub`` extends it with w's bit added to its pattern and is
+    tested as above, and w's fresh neighbours (above the root and outside
+    ``closed``) attach to w alone.  Such a leaf closes no simplex beyond its
+    edge to w, so all of them share one mask and count at once.
     """
     adj = complex_.adjacency
     incidence = complex_._incidence
     table = _attach_table(m)
     tallies: list[dict[int, int]] = [{} for _ in range(m + 1)]
+    leaves = tallies[m]
 
     def extend(
         root: int,
@@ -130,8 +141,11 @@ def _esu(
         j = len(sub)
         patterns = table[j]
         tally = tallies[j + 1]
-        leaf = j + 1 == m
         bit = 1 << j
+        last = j + 2 == m
+        if last:
+            leaf_patterns = table[m - 1]
+            fresh_edges = leaf_patterns[bit][0]
         for i, w in enumerate(ext):
             edges, larger = patterns[pats[i]]
             new_mask = mask | edges
@@ -141,25 +155,47 @@ def _esu(
                 ):
                     new_mask |= weight
             tally[new_mask] = tally.get(new_mask, 0) + 1
+            child = sub + (w,)
             if found is not None:
-                found.append(tuple(sorted(sub + (w,))))
-            if leaf:
-                continue
+                found.append(tuple(sorted(child)))
             nbrs = adj[w]
             fresh = [u for u in nbrs if u > root and u not in closed]
-            extend(
-                root,
-                sub + (w,),
-                new_mask,
-                ext[i + 1 :] + fresh,
-                [a | bit if u in nbrs else a for u, a in zip(ext[i + 1 :], pats[i + 1 :])]
-                + [bit] * len(fresh),
-                closed | nbrs,
-            )
+            rest = ext[i + 1 :]
+            if not last:
+                extend(
+                    root,
+                    child,
+                    new_mask,
+                    rest + fresh,
+                    [a | bit if u in nbrs else a for u, a in zip(rest, pats[i + 1 :])]
+                    + [bit] * len(fresh),
+                    closed | nbrs,
+                )
+                continue
+            for u, a in zip(rest, pats[i + 1 :]):
+                edges, larger = leaf_patterns[a | bit if u in nbrs else a]
+                leaf_mask = new_mask | edges
+                for others, weight, faces in larger:
+                    if leaf_mask & faces == faces and incidence[u].intersection(
+                        *[incidence[child[p]] for p in others]
+                    ):
+                        leaf_mask |= weight
+                leaves[leaf_mask] = leaves.get(leaf_mask, 0) + 1
+            if fresh:
+                leaf_mask = new_mask | fresh_edges
+                leaves[leaf_mask] = leaves.get(leaf_mask, 0) + len(fresh)
+            if found is not None:
+                found.extend(tuple(sorted(child + (u,))) for u in rest + fresh)
 
     for root in roots:
         ext0 = sorted(u for u in adj[root] if u > root)
-        if ext0:
+        if not ext0:
+            continue
+        if m == 2:  # the root is the parent: its edge weighs 1 under simplex_layout(2)
+            leaves[1] = leaves.get(1, 0) + len(ext0)
+            if found is not None:
+                found.extend((root, u) for u in ext0)
+        else:
             extend(root, (root,), 0, ext0, [1] * len(ext0), adj[root] | {root})
     return tallies
 
@@ -187,14 +223,20 @@ def exact_counts(complex_: SimplicialComplex, catalog: SimpletCatalog) -> SFDVec
 
     One enumeration pass tallies the subsets per ``(size, mask)``.  Subsets
     that share a position-labelled mask share a type, so each distinct
-    ``(size, mask)`` is classified once, from the mask alone.
+    ``(size, mask)`` is classified once, from the mask alone: its bits move
+    from ``simplex_layout(m)`` to ``simplex_layout(size)``, which list the
+    subsets of ``range(size)`` in the same order, and ``_canonical_mask``
+    maps the result to its type.
     """
     m = catalog.m
     tallies = _esu(complex_, m, range(complex_.vertex_count))
+    weight = {s: w for s, w, _ in simplex_layout(m)}
     counts = [0] * len(catalog)
     for size in range(2, m + 1):
+        relabel = [(weight[s], w) for s, w, _ in simplex_layout(size)]
         for mask, count in tallies[size].items():
-            counts[catalog.index_of(canonical_form(size, decode_mask(m, mask)))] += count
+            local = sum(w for w_m, w in relabel if mask & w_m)
+            counts[catalog.index_of(_key(size, _canonical_mask(size, local)))] += count
     if sum(counts) == 0:
         raise StructuralError("complex has no simplets: the 1-skeleton has no edges")
     return SFDVector(m, counts)

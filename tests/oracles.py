@@ -12,6 +12,7 @@ from itertools import combinations, permutations
 from typing import Iterator
 
 from simplets import SimplicialComplex
+from simplets.complexes import simplex_layout
 
 
 def subset_spans_simplex(complex_: SimplicialComplex, vertices) -> bool:
@@ -102,6 +103,23 @@ def min_encoding(k: int, perms, simplices) -> tuple[tuple[int, ...], ...]:
         return tuple(sorted(relabeled, key=lambda s: (len(s), s)))
 
     return min(encode(perm) for perm in perms)
+
+
+def weight_tables(k: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Per-relabeling weight tables of ``simplex_layout(k)``, one sorted
+    simplex tuple per simplex per permutation, keyed by vertex order (the
+    vertex that gets label 0 first): entry ``b`` is the weight that the
+    subset of weight ``2 ** b`` is relabeled to."""
+    weight = {s: w for s, w, _ in simplex_layout(k)}
+    tables = {}
+    for perm in permutations(range(k)):
+        order = [0] * k
+        for v, label in enumerate(perm):
+            order[label] = v
+        tables[tuple(order)] = tuple(
+            weight[tuple(sorted(perm[v] for v in s))] for s in reversed(weight)
+        )
+    return tables
 
 
 def local_simplices(complex_: SimplicialComplex, vertices) -> list[tuple[int, ...]]:

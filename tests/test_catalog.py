@@ -163,6 +163,13 @@ def check_refined_search_is_brute_force(keys, relabelings, seed):
             ), (key, perm)
 
 
+@pytest.mark.parametrize("k", range(2, 7))
+def test_weight_tables_equal_the_per_permutation_reference(k):
+    tables = catalog_module._tables(k)
+    reference = oracles.weight_tables(k)
+    assert list(tables.items()) == list(reference.items())
+
+
 def has_complete_skeleton(key):
     k = key.vertex_count
     return sum(len(s) == 2 for s in key.simplices) == k * (k - 1) // 2

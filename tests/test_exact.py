@@ -10,13 +10,13 @@ from simplets import (
     SFDVector,
     StructuralError,
     build_complex,
-    canonical_form,
     enumerate_connected_subsets,
     exact_counts,
     generate,
     generate_catalog,
 )
 from simplets import exact as exact_module
+from simplets.complexes import simplex_layout
 
 from . import oracles
 from .conftest import random_complexes
@@ -92,7 +92,7 @@ def test_exact_counts_match_naive_oracle(catalog3, catalog4, catalog5):
     ]
     assert all(any(len(f) == 4 for f in complex_.facets) for complex_ in tetrahedral)
     for complex_ in random_complexes(12, max_n=10, seed=201) + tetrahedral[:2]:
-        for catalog in (catalog3, catalog4, catalog5):
+        for catalog in (generate_catalog(2), catalog3, catalog4, catalog5):
             assert list(exact_counts(complex_, catalog).counts) == (
                 oracles.classify_counts(complex_, catalog)
             )
@@ -103,33 +103,72 @@ def test_exact_counts_match_naive_oracle(catalog3, catalog4, catalog5):
         )
 
 
+def dense_lm_complexes():
+    """lm complexes so dense that m-vertex subsets close triangles and
+    tetrahedra at their last vertex."""
+    return [
+        generate(GenSpec("lm", n, 0.8, p_tri=0.9, p_tet=0.9, seed=seed))
+        for seed, n in ((231, 8), (232, 8), (233, 9))
+    ]
+
+
+@pytest.mark.parametrize("m", range(3, 7))
+def test_exact_counts_on_dense_lm_complexes(m):
+    catalog = generate_catalog(m)
+    layout = simplex_layout(m)
+    closed_at_last = {
+        size: sum(w for s, w, _ in layout if len(s) == size and s[-1] == m - 1)
+        for size in (3, 4)
+    }
+    closes = set()
+    for complex_ in dense_lm_complexes():
+        leaves = exact_module._esu(complex_, m, range(complex_.vertex_count))[m]
+        closes |= {size for size, bits in closed_at_last.items() if any(k & bits for k in leaves)}
+        counts = exact_counts(complex_, catalog).counts
+        assert list(counts) == oracles.classify_counts(complex_, catalog)
+        subsets = list(enumerate_connected_subsets(complex_, m))
+        assert len(subsets) == len(set(subsets)) == sum(counts)
+    assert closes == ({3, 4} if m > 3 else {3})
+
+
 def test_exact_counts_classify_once_per_distinct_mask(monkeypatch, catalog5):
     complex_ = generate(GenSpec("flag", 30, 8 / 29, seed=24))
     classified = []
+    canonical_mask = exact_module._canonical_mask
 
-    def counting_canonical_form(vertex_count, simplices):
-        classified.append(vertex_count)
-        return canonical_form(vertex_count, simplices)
+    def counting_canonical_mask(k, mask):
+        classified.append(k)
+        return canonical_mask(k, mask)
 
-    monkeypatch.setattr(exact_module, "canonical_form", counting_canonical_form)
+    monkeypatch.setattr(exact_module, "_canonical_mask", counting_canonical_mask)
     sfd = exact_counts(complex_, catalog5)
     # 185 distinct (size, position-labelled mask) keys on this input
     assert len(classified) == 185
     assert sum(sfd.counts) == len(list(enumerate_connected_subsets(complex_, 5))) == 35_595
 
 
-def test_exact_counts_equal_the_benchmark_references(monkeypatch, catalog5):
-    # the pinned exact-m5 inputs and reference counts, read from the
-    # benchmark without editing it
+def check_benchmark_references(monkeypatch, name, catalog):
+    """Exact counts on a workload's ten pinned inputs equal its reference
+    counts, read from the benchmark without editing it."""
     monkeypatch.syspath_prepend(str(BENCH_DIR))
     import workloads
 
-    workload = workloads.WORKLOADS["exact-m5"]
-    entries = workloads.load_pins(smoke=False)["exact-m5"]["entries"]
+    workload = workloads.WORKLOADS[name]
+    assert workload.m == catalog.m
+    entries = workloads.load_pins(smoke=False)[name]["entries"]
     assert len(entries) == 10
     for entry in entries:
         complex_, _text = workloads.make_input(workload, entry["gen_seed"])
-        assert list(exact_counts(complex_, catalog5).counts) == entry["reference"]["counts"]
+        assert list(exact_counts(complex_, catalog).counts) == entry["reference"]["counts"]
+
+
+def test_exact_counts_equal_the_benchmark_references(monkeypatch, catalog5):
+    check_benchmark_references(monkeypatch, "exact-m5", catalog5)
+
+
+def test_validate_oracle_equals_the_benchmark_references(monkeypatch, catalog4):
+    # validate's exact oracle runs exact_counts at m = 4 on the same input
+    check_benchmark_references(monkeypatch, "validate-lm", catalog4)
 
 
 def test_exact_counts_permutation_invariant(catalog5):
