@@ -29,6 +29,15 @@ __all__ = [
     "connected_components",
 ]
 
+
+def _index(value, what: str) -> int:
+    """``operator.index(value)``; InputError naming ``what`` for a non-integer."""
+    try:
+        return operator.index(value)
+    except TypeError as exc:
+        raise InputError(f"non-integer {what} {value!r}") from exc
+
+
 class SimplicialComplex:
     """Immutable simplicial complex over dense vertex ids ``[0, n)``.
 
@@ -92,15 +101,11 @@ class SimplicialComplex:
         return self._bits
 
     def _vertex_set(self, vertices: Iterable[int]) -> set[int]:
-        """The given ids as a set of ints, each taken through
-        ``operator.index``; InputError for a non-integer id or one outside
-        ``[0, n)``."""
+        """The given ids as a set of ints, each through ``_index``; InputError
+        for a non-integer id or one outside ``[0, n)``."""
         vs = set()
         for v in vertices:
-            try:
-                v = operator.index(v)
-            except TypeError as exc:
-                raise InputError(f"non-integer vertex id {v!r}") from exc
+            v = _index(v, "vertex id")
             if not (0 <= v < self.vertex_count):
                 raise InputError(f"vertex id {v} out of range [0, {self.vertex_count})")
             vs.add(v)
@@ -193,6 +198,7 @@ def build_complex(facet_list: Iterable[Iterable[int]], vertex_count: int) -> Sim
     non-empty.  Entries that are subsets of other entries are removed so the
     stored facets form an antichain.
     """
+    vertex_count = _index(vertex_count, "vertex_count")
     if vertex_count < 0:
         raise InputError("vertex_count must be nonnegative")
     candidates: set[frozenset[int]] = set()

@@ -21,7 +21,7 @@ import operator
 from collections.abc import Iterable, Iterator
 
 from .catalog import SimpletCatalog, _canonical_mask, _key
-from .complexes import SimplicialComplex, simplex_layout
+from .complexes import SimplicialComplex, _index, simplex_layout
 from .errors import InputError, StructuralError
 from .record import Record
 
@@ -210,6 +210,7 @@ def enumerate_connected_subsets(
     the adjacency sets' iteration order, so it may differ between copies of a
     complex; the set of subsets, and hence every count, does not.
     """
+    m = _index(m, "m")
     if m < 2:
         raise InputError(f"m must be at least 2, got {m}")
     for root in range(complex_.vertex_count):

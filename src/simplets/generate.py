@@ -12,7 +12,7 @@ import random
 from collections import namedtuple
 from itertools import combinations
 
-from .complexes import SimplicialComplex, build_complex, connected_components
+from .complexes import SimplicialComplex, _index, build_complex, connected_components
 from .errors import InputError, StructuralError
 from .record import Record
 
@@ -34,6 +34,7 @@ class GenSpec(Record):
     ):
         if model not in MODELS:
             raise InputError(f"model must be one of {MODELS}, got {model!r}")
+        n = _index(n, "n")
         if n < 3:
             raise InputError(f"generator needs n >= 3, got n={n}")
         for name, p in (("p_edge", p_edge), ("p_tri", p_tri), ("p_tet", p_tet)):

@@ -11,11 +11,11 @@ A state's moves are then a few big-integer ORs, ANDs and popcounts over its
 vertices' bitsets, as its shape (the induced edges) prescribes; only the
 walk's current state is decoded into a move.  The expansion of a state is
 straight-line code generated once per state size (``_kernel``): it reads the
-shape from a per-size dict keyed by the integer of edge flags, filled as
-shapes are met, and overrides only the positions whose removal splits the
-state, each by a generated one-line function of that position's partition
-of the others (``_cut``): a bounded family, 395 functions up to m = 6,
-where one function per shape would be thousands.
+shape's ``(removable, cuts)`` (``_shape``) from a per-size dict keyed by the
+integer of edge flags, filled as shapes are met, and overrides only the
+positions whose removal splits the state, each by a generated one-line
+function of that position's partition of the others (``_cut``): at most 395
+functions up to m = 6, where one per shape would be thousands.
 ``SimpletSampler.sample`` is the walk's one loop; it draws each move
 index from ``getrandbits`` exactly as ``Random.randrange`` would.  Its one
 memo maps each proposed state to its degree, and replaces that by the
@@ -76,44 +76,36 @@ class WalkConfig(Record):
         self._store(m, burn_in, c_mix, rng_seed)
 
 
-class _Shape:
-    """The moves of one shape: ``k`` positions whose induced edges are the set
-    bits of ``key``, one bit per pair of positions in ``combinations`` order.
-    ``removable`` lists the positions whose removal keeps the state
-    connected, ``parts[u]`` the components of the state without u as position
-    tuples; a vertex outside the state can replace u when it neighbours every
-    part of ``parts[u]``.  ``cuts`` holds ``(u, cut)`` for each position u
-    with more than one part, ``cut`` the generated function of the state's
-    rows that gives u's swaps (``_cut``)."""
-
-    __slots__ = ("removable", "parts", "cuts")
-
-    def __init__(self, k: int, key: int):
-        nb = [0] * k
-        for bit, (i, j) in enumerate(combinations(range(k), 2)):
-            if key >> bit & 1:
-                nb[i] |= 1 << j
-                nb[j] |= 1 << i
-        self.parts = []
-        for u in range(k):
-            rest, parts = ((1 << k) - 1) ^ (1 << u), []
-            while rest:
-                # grow the part from its lowest position, reading only the
-                # neighbours of the positions reached last round
-                part = new = rest & -rest
-                while new:
-                    reach = 0
-                    for i in _positions(new):
-                        reach |= nb[i]
-                    new = reach & rest & ~part
-                    part |= new
-                parts.append(_positions(part))
-                rest ^= part
-            self.parts.append(parts)
-        self.removable = [u for u, parts in enumerate(self.parts) if len(parts) == 1 and k > 2]
-        self.cuts = tuple(
-            (u, _cut(k, tuple(parts))) for u, parts in enumerate(self.parts) if len(parts) > 1
-        )
+def _shape(k: int, key: int) -> tuple:
+    """``(removable, cuts)`` of ``k`` positions whose induced edges are the set
+    bits of ``key``, one per pair in ``combinations`` order: the positions
+    whose removal keeps the state connected, and ``(u, _cut(k, parts))`` for
+    each position u whose removal splits the others into several parts."""
+    nb = [0] * k
+    for bit, (i, j) in enumerate(combinations(range(k), 2)):
+        if key >> bit & 1:
+            nb[i] |= 1 << j
+            nb[j] |= 1 << i
+    removable, cuts = 0, []
+    for u in range(k):
+        rest, parts = ((1 << k) - 1) ^ (1 << u), []
+        while rest:
+            # grow the part from its lowest position, reading only the
+            # neighbours of the positions reached last round
+            part = new = rest & -rest
+            while new:
+                reach = 0
+                for i in _positions(new):
+                    reach |= nb[i]
+                new = reach & rest & ~part
+                part |= new
+            parts.append(_positions(part))
+            rest ^= part
+        if len(parts) > 1:
+            cuts.append((u, _cut(k, tuple(parts))))
+        elif k > 2:
+            removable |= 1 << u
+    return _positions(removable), tuple(cuts)
 
 
 @functools.cache
@@ -142,12 +134,12 @@ def _cut(k: int, parts: tuple[tuple[int, ...], ...]):
 def _kernel(k: int, m: int):
     """The expansion of a k-vertex state as one function without loops over
     positions or pairs, compiled once per (k, m).  It tests the state's pairs
-    for edges into an integer shape key, looks the key's ``_Shape`` up in a
-    dict of its own (filled on a miss, so only shapes met take room), and
-    gives every position the OR of the other positions' rows from prefix and
-    suffix ORs; only the cut positions, those with several parts, are then
-    overridden by their partition's ``_cut`` function.  At k = m nothing can
-    be added, so the degree line counts no adds."""
+    for edges into an integer shape key, looks the key's ``(removable, cuts)``
+    up in a dict of its own (filled on a miss by ``_shape``, so only shapes
+    met take room), and gives every position the OR of the other positions'
+    rows from prefix and suffix ORs; only the cut positions are then
+    overridden by their ``cuts`` functions.  At k = m nothing can be added,
+    so the degree line counts no adds."""
     pos = range(k)
     # prefix[i] names the OR of rows 0..i for i < k - 1, suffix[i] that of
     # rows i..k-1 for i > 0
@@ -163,23 +155,22 @@ def _kernel(k: int, m: int):
         *(f"    a{i} = adj[s{i}]" for i in range(k - 1)),
         f"    key = {key}",
         "    try:",
-        "        shape = shapes[key]",
+        "        removable, cuts = shapes[key]",
         "    except KeyError:",
-        f"        shape = shapes[key] = _Shape({k}, key)",
+        f"        removable, cuts = shapes[key] = _shape({k}, key)",
         f"    out = ~({' | '.join(f'1 << s{i}' for i in pos)})",
         *(f"    r{i} = bits[s{i}] & out" for i in pos),
         *(f"    p{i} = {prefix[i - 1]} | r{i}" for i in range(1, k - 1)),
         *(f"    q{i} = r{i} | {suffix[i + 1]}" for i in range(k - 2, 0, -1)),
         f"    swaps = [{', '.join(others + [prefix[k - 2]])}]",
-        "    for u, cut in shape.cuts:",
+        "    for u, cut in cuts:",
         f"        swaps[u] = cut({', '.join(f'r{i}' for i in pos)})",
         f"    adds = {prefix[k - 2]} | r{k - 1}" if k < m else "    adds = 0",
-        "    removable = shape.removable",
         "    degree = " + ("adds.bit_count() + " if k < m else "") + "len(removable) + "
         + " + ".join(f"swaps[{u}].bit_count()" for u in pos),
         "    return degree, adds, removable, swaps",
     ]
-    namespace = {"shapes": {}, "_Shape": _Shape}
+    namespace = {"shapes": {}, "_shape": _shape}
     exec(compile("\n".join(lines), f"<simplets kernel k={k} m={m}>", "exec"), namespace)
     return namespace["expand"]
 

@@ -3,6 +3,7 @@ import pickle
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from simplets import (
@@ -79,6 +80,13 @@ def test_duplicate_facets_deduplicated():
 def test_build_rejects_bad_input(facets, n):
     with pytest.raises(InputError):
         build_complex(facets, n)
+
+
+def test_build_takes_the_vertex_count_as_an_integer():
+    with pytest.raises(InputError, match="non-integer vertex_count"):
+        build_complex([[0, 1]], 2.0)
+    complex_ = build_complex([[0, 1]], np.int64(3))
+    assert type(complex_.vertex_count) is int and complex_.vertex_count == 3
 
 
 def test_contains_simplex_basics(filled_triangle, empty_triangle):

@@ -44,6 +44,12 @@ def test_enumeration_m_validation(filled_triangle):
         list(enumerate_connected_subsets(filled_triangle, 1))
 
 
+def test_enumeration_takes_m_as_an_integer(filled_triangle):
+    # A float m would fail inside range() once the enumeration starts.
+    with pytest.raises(InputError, match="non-integer m"):
+        list(enumerate_connected_subsets(filled_triangle, 3.0))
+
+
 def test_enumeration_matches_naive_and_is_duplicate_free():
     for complex_ in random_complexes(20, seed=200):
         for m in (3, 4):

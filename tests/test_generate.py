@@ -1,6 +1,7 @@
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 
 from simplets import (
@@ -26,6 +27,17 @@ def test_spec_validation():
         GenSpec("flag", 5, 1.5)
     with pytest.raises(InputError):
         GenSpec("lm", 5, 0.5, p_tri=-0.1)
+
+
+def test_spec_takes_the_vertex_count_as_an_integer():
+    # A float count would fail inside range() when generating; bool is an
+    # integer and still meets the n >= 3 check.
+    with pytest.raises(InputError, match="non-integer n"):
+        GenSpec("flag", 10.0, 0.2)
+    with pytest.raises(InputError, match="n >= 3"):
+        GenSpec("flag", True, 0.2)
+    spec = GenSpec("flag", np.int64(10), 0.2)
+    assert type(spec.n) is int and generate(spec).vertex_count == 10
 
 
 def test_flag_complete(catalog4):

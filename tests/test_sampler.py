@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import random
+import sys
 from collections import Counter
 from itertools import combinations
 
@@ -430,17 +431,22 @@ def _connected_shapes(k):
 
 def test_shape_matches_brute_force_connectivity():
     # Every connected labelled graph on k = 2..5 positions and every nonzero
-    # attach mask: removable positions and, from the parts, swap positions
-    # by exhaustive check.
+    # attach mask: removable positions, and the positions the new vertex can
+    # replace, read from the cut functions on 0/1 rows and elsewhere from the
+    # OR of the other rows, by exhaustive check.
     for k in range(2, 6):
         full = (1 << k) - 1
         rest = [full & ~(1 << u) for u in range(k)]
         for edges, nb in _connected_shapes(k):
-            shape = sampler_module._Shape(k, edges)
-            assert shape.removable == [
+            removable, cuts = sampler_module._shape(k, edges)
+            assert removable == tuple(
                 u for u in range(k) if k > 2 and oracles.bit_connected(nb, rest[u])
-            ]
+            )
             for attach in range(1, full + 1):
+                rows = [attach >> i & 1 for i in range(k)]
+                swaps = [any(rows[:u] + rows[u + 1:]) for u in range(k)]
+                for u, cut in cuts:
+                    swaps[u] = cut(*rows)
                 # w joins the state as position k; it may replace u when
                 # the state without u, with w added, is connected.
                 grown = nb + [attach]
@@ -448,10 +454,39 @@ def test_shape_matches_brute_force_connectivity():
                     if attach >> i & 1:
                         grown[i] = nb[i] | 1 << k
                 expected = [u for u in range(k) if oracles.bit_connected(grown, rest[u] | 1 << k)]
-                assert [
-                    u for u, parts in enumerate(shape.parts)
-                    if all(any(attach >> i & 1 for i in part) for part in parts)
-                ] == expected
+                assert [u for u in range(k) if swaps[u]] == expected
+
+
+def _deep_size(obj, seen):
+    """Bytes of ``obj`` and of the tuples and lists it reaches, each object
+    counted once over ``seen``; the compiled cut functions, a bounded shared
+    family, are not counted."""
+    if id(obj) in seen or callable(obj):
+        return 0
+    seen.add(id(obj))
+    kids = obj if isinstance(obj, (tuple, list)) else ()
+    return sys.getsizeof(obj) + sum(_deep_size(kid, seen) for kid in kids)
+
+
+def test_shape_tables_hold_only_removable_and_cut_pairs():
+    # A shape is stored as the pair (removable, cuts); the per-position
+    # parts that build it are not kept.  On this walk a shape takes about
+    # 270 bytes, about 900 with the parts stored as well.
+    sampler_module._kernel.cache_clear()
+    sampler = SimpletSampler(_walk_zoo("flag"), WalkConfig(m=6, burn_in=300, rng_seed=1))
+    for _ in range(5):
+        sampler.sample()
+    seen, size, count = set(), 0, 0
+    for k in range(2, 7):
+        for entry in sampler_module._kernel(k, 6).__globals__["shapes"].values():
+            assert type(entry) is tuple and len(entry) == 2
+            removable, cuts = entry
+            assert type(removable) is tuple and all(type(u) is int for u in removable)
+            assert type(cuts) is tuple
+            assert all(type(pair) is tuple and len(pair) == 2 and callable(pair[1]) for pair in cuts)
+            size += _deep_size(entry, seen)
+            count += 1
+    assert count > 500 and size / count < 400, (count, size / count)
 
 
 def test_kernel_matches_the_segment_oracle_on_every_shape():
@@ -504,7 +539,7 @@ def _set_partitions(items):
 def test_cut_functions_and_their_bound():
     # Every way a position u can be a cut position of a k-vertex state,
     # k = 3..6: the other positions split into at least two parts, listed
-    # as _Shape lists them.  The generated function is the AND over the
+    # as _shape lists them.  The generated function is the AND over the
     # parts of each part's OR, on rows many machine words up.
     rng = random.Random(22)
     count = 0
