@@ -13,7 +13,7 @@ import sys
 from collections.abc import Sequence
 
 from .catalog import SimpletCatalog, TypeClassifier
-from .complexes import Simplet, SimplicialComplex
+from .complexes import Simplet, SimplicialComplex, _real
 from .errors import InputError
 from .exact import SFDVector
 from .sampler import SimpletSampler, WalkConfig, _check_positive
@@ -36,9 +36,9 @@ _VC_DIMENSION = 1  # the type sets partition the domain
 
 def required_samples(epsilon: float, delta: float, c: float = DEFAULT_VC_CONSTANT) -> int:
     """Samples sufficient for an (epsilon, delta)-approximation of the SFD vector."""
-    if not (0.0 < epsilon < 1.0):
+    if not (0.0 < _real(epsilon, "epsilon") < 1.0):
         raise InputError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if not (0.0 < delta < 1.0):
+    if not (0.0 < _real(delta, "delta") < 1.0):
         raise InputError(f"delta must lie in (0, 1), got {delta}")
     _check_positive("c", c)
     square = epsilon * epsilon

@@ -24,7 +24,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import permutations
 
-from .complexes import Simplet, decode_mask, simplex_layout
+from .complexes import Simplet, _index, decode_mask, simplex_layout
 from .errors import InputError, IntegrityError
 from .record import Record
 
@@ -178,6 +178,7 @@ def canonical_form(vertex_count: int, simplices: Iterable[Iterable[int]]) -> Sim
     faces (vertices are implied), else :class:`InputError`.  The result is
     invariant under any relabeling of the input.
     """
+    vertex_count = _index(vertex_count, "vertex_count")
     if vertex_count < 2:
         raise InputError("a simplet type needs at least two vertices")
     _tables(vertex_count)  # rejects k > 6 before the 2**k layout is built
@@ -249,6 +250,7 @@ def generate_catalog(m: int) -> SimpletCatalog:
     read from the committed catalog data; a missing or incomplete file
     raises ``IntegrityError``.
     """
+    m = _index(m, "m")
     if not (2 <= m <= MAX_CATALOG_VERTICES):
         raise InputError(f"catalog supports 2 <= m <= {MAX_CATALOG_VERTICES}, got {m}")
     sizes: dict[int, int] = {}

@@ -38,6 +38,17 @@ def _index(value, what: str) -> int:
         raise InputError(f"non-integer {what} {value!r}") from exc
 
 
+def _real(value, what: str):
+    """``value`` if it is a ``numbers.Real`` (int, float, Fraction, numpy reals;
+    not Decimal, which float arithmetic rejects); InputError naming ``what``."""
+    if value.__class__ not in (int, float):
+        import numbers  # loaded only for the rare caller with another type
+
+        if not isinstance(value, numbers.Real):
+            raise InputError(f"non-real {what} {value!r}")
+    return value
+
+
 class SimplicialComplex:
     """Immutable simplicial complex over dense vertex ids ``[0, n)``.
 

@@ -12,7 +12,7 @@ import random
 from collections import namedtuple
 from itertools import combinations
 
-from .complexes import SimplicialComplex, _index, build_complex, connected_components
+from .complexes import SimplicialComplex, _index, _real, build_complex, connected_components
 from .errors import InputError, StructuralError
 from .record import Record
 
@@ -38,7 +38,7 @@ class GenSpec(Record):
         if n < 3:
             raise InputError(f"generator needs n >= 3, got n={n}")
         for name, p in (("p_edge", p_edge), ("p_tri", p_tri), ("p_tet", p_tet)):
-            if not (0.0 <= p <= 1.0):
+            if not (0.0 <= _real(p, name) <= 1.0):
                 raise InputError(f"{name}={p} outside [0, 1]")
         self._store(model, n, p_edge, p_tri, p_tet, seed)
 
@@ -84,8 +84,7 @@ def generate(spec: GenSpec) -> SimplicialComplex:
 
     if spec.model == "flag":
         filled_tris = triangles
-        tetra_candidates = _tetrahedra(adjacency, triangles)
-        filled_tets = tetra_candidates
+        filled_tets = _tetrahedra(adjacency, triangles)
     else:
         filled_tris = [t for t in triangles if rng.random() < spec.p_tri]
         filled_set = set(filled_tris)
@@ -96,13 +95,9 @@ def generate(spec: GenSpec) -> SimplicialComplex:
             and rng.random() < spec.p_tet
         ]
 
-    in_tet = {f for quad in filled_tets for f in combinations(quad, 3)}
-    in_tri = {e for tri in filled_tris for e in combinations(tri, 2)}
-    facets: list[tuple[int, ...]] = list(filled_tets)
-    facets.extend(t for t in filled_tris if t not in in_tet)
-    facets.extend(e for e in edges if e not in in_tri)
-    covered = {v for f in facets for v in f}
-    facets.extend((v,) for v in range(spec.n) if v not in covered)
+    # build_complex drops the faces of larger entries
+    facets = [*filled_tets, *filled_tris, *edges]
+    facets.extend((v,) for v in range(spec.n) if not adjacency[v])
     return build_complex(facets, spec.n)
 
 

@@ -12,10 +12,10 @@ vertices' bitsets, as its shape (the induced edges) prescribes; only the
 walk's current state is decoded into a move.  The expansion of a state is
 straight-line code generated once per state size (``_kernel``): it reads the
 shape's ``(removable, cuts)`` (``_shape``) from a per-size dict keyed by the
-integer of edge flags, filled as shapes are met, and overrides only the
-positions whose removal splits the state, each by a generated one-line
-function of that position's partition of the others (``_cut``): at most 395
-functions up to m = 6, where one per shape would be thousands.
+integer of edge flags, filled as shapes are met, and lets each function in
+``cuts`` (``_cut``) set the swaps of one position whose removal splits the
+state, from that position's partition of the others: at most 395 functions
+up to m = 6, where one per shape would be thousands.
 ``SimpletSampler.sample`` is the walk's one loop; it draws each move
 index from ``getrandbits`` exactly as ``Random.randrange`` would.  Its one
 memo maps each proposed state to its degree, and replaces that by the
@@ -31,7 +31,7 @@ import sys
 from collections.abc import Sequence
 from itertools import combinations
 
-from .complexes import Simplet, SimplicialComplex, skeleton_diameter
+from .complexes import Simplet, SimplicialComplex, _real, skeleton_diameter
 from .errors import InputError, IntegrityError, StructuralError
 from .record import Record
 
@@ -52,7 +52,7 @@ _CACHE_CAP = 20_000
 
 def _check_positive(name: str, value: float) -> None:
     """InputError unless ``value`` is a finite positive number."""
-    if not (0 < value < math.inf):
+    if not (0 < _real(value, name) < math.inf):
         raise InputError(f"{name} must be a finite positive number, got {value}")
 
 
@@ -79,7 +79,7 @@ class WalkConfig(Record):
 def _shape(k: int, key: int) -> tuple:
     """``(removable, cuts)`` of ``k`` positions whose induced edges are the set
     bits of ``key``, one per pair in ``combinations`` order: the positions
-    whose removal keeps the state connected, and ``(u, _cut(k, parts))`` for
+    whose removal keeps the state connected, and ``_cut(k, u, parts)`` for
     each position u whose removal splits the others into several parts."""
     nb = [0] * k
     for bit, (i, j) in enumerate(combinations(range(k), 2)):
@@ -102,7 +102,7 @@ def _shape(k: int, key: int) -> tuple:
             parts.append(_positions(part))
             rest ^= part
         if len(parts) > 1:
-            cuts.append((u, _cut(k, tuple(parts))))
+            cuts.append(_cut(k, u, tuple(parts)))
         elif k > 2:
             removable |= 1 << u
     return _positions(removable), tuple(cuts)
@@ -115,18 +115,17 @@ def _positions(mask: int) -> tuple[int, ...]:
 
 
 @functools.cache
-def _cut(k: int, parts: tuple[tuple[int, ...], ...]):
-    """The swaps of a cut position whose removal splits a k-vertex state into
-    ``parts``: a function of the state's rows ``r0 .. r{k-1}`` that returns
-    the AND over the parts of each part's OR, as one expression, compiled once
-    per (k, parts).  The parts of the positions other than one determine it,
-    so up to m = 6 at most 395 exist (k * (B(k - 1) - 1) summed over k, B the
-    Bell numbers), and only those met are compiled."""
+def _cut(k: int, u: int, parts: tuple[tuple[int, ...], ...]):
+    """A function of the swap list and a k-vertex state's rows ``r0 .. r{k-1}``
+    that sets ``swaps[u]`` to the AND over ``parts``, the state's split without
+    u, of each part's OR; compiled once per (k, u, parts).  The parts leave out
+    u alone, so they fix it, and up to m = 6 at most 395 exist (k * (B(k - 1)
+    - 1) summed over k, B the Bell numbers); only those met are compiled."""
     rows = ", ".join(f"r{i}" for i in range(k))
     body = " & ".join(f"({' | '.join(f'r{i}' for i in part)})" for part in parts)
     namespace = {}
-    exec(compile(f"def cut({rows}): return {body}", f"<simplets cut k={k} {parts}>", "exec"),
-         namespace)
+    exec(compile(f"def cut(swaps, {rows}): swaps[{u}] = {body}",
+                 f"<simplets cut k={k} u={u} {parts}>", "exec"), namespace)
     return namespace["cut"]
 
 
@@ -137,8 +136,8 @@ def _kernel(k: int, m: int):
     for edges into an integer shape key, looks the key's ``(removable, cuts)``
     up in a dict of its own (filled on a miss by ``_shape``, so only shapes
     met take room), and gives every position the OR of the other positions'
-    rows from prefix and suffix ORs; only the cut positions are then
-    overridden by their ``cuts`` functions.  At k = m nothing can be added,
+    rows from prefix and suffix ORs; each function in ``cuts`` then
+    overrides the swaps of its cut position.  At k = m nothing can be added,
     so the degree line counts no adds."""
     pos = range(k)
     # prefix[i] names the OR of rows 0..i for i < k - 1, suffix[i] that of
@@ -163,8 +162,8 @@ def _kernel(k: int, m: int):
         *(f"    p{i} = {prefix[i - 1]} | r{i}" for i in range(1, k - 1)),
         *(f"    q{i} = r{i} | {suffix[i + 1]}" for i in range(k - 2, 0, -1)),
         f"    swaps = [{', '.join(others + [prefix[k - 2]])}]",
-        "    for u, cut in cuts:",
-        f"        swaps[u] = cut({', '.join(f'r{i}' for i in pos)})",
+        "    for cut in cuts:",
+        f"        cut(swaps, {', '.join(f'r{i}' for i in pos)})",
         f"    adds = {prefix[k - 2]} | r{k - 1}" if k < m else "    adds = 0",
         "    degree = " + ("adds.bit_count() + " if k < m else "") + "len(removable) + "
         + " + ".join(f"swaps[{u}].bit_count()" for u in pos),

@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, strategies as st
@@ -87,6 +88,22 @@ def test_non_finite_constants_and_bounds_are_rejected(
     with pytest.raises(InputError):
         required_samples(eps, delta, c)
     with pytest.raises(InputError):
+        approximate_sfd(filled_triangle, catalog3, epsilon=eps, delta=delta, c=c)
+
+
+@pytest.mark.parametrize("eps, delta, c, named", [
+    ("0.1", 0.1, 0.5, "epsilon"),
+    (None, 0.1, 0.5, "epsilon"),
+    (0.1, "0.1", 0.5, "delta"),
+    (0.1, 0.1, "1", "c"),
+    (Decimal("0.1"), 0.1, 0.5, "epsilon"),
+])
+def test_constants_that_are_not_numbers_are_rejected(
+    eps, delta, c, named, filled_triangle, catalog3, no_sampler
+):
+    with pytest.raises(InputError, match=f"non-real {named}"):
+        required_samples(eps, delta, c)
+    with pytest.raises(InputError, match=f"non-real {named}"):
         approximate_sfd(filled_triangle, catalog3, epsilon=eps, delta=delta, c=c)
 
 

@@ -218,6 +218,18 @@ def test_catalog_m_range_rejected():
             generate_catalog(m)
 
 
+@pytest.mark.parametrize("call, named", [
+    (lambda: generate_catalog("4"), "non-integer m"),
+    (lambda: generate_catalog(4.0), "non-integer m"),
+    (lambda: generate_catalog(None), "non-integer m"),
+    (lambda: canonical_form("3", [(0, 1)]), "non-integer vertex_count"),
+    (lambda: canonical_form(3.0, [(0, 1)]), "non-integer vertex_count"),
+])
+def test_sizes_that_are_not_integers_are_rejected(call, named):
+    with pytest.raises(InputError, match=named):
+        call()
+
+
 def test_catalog_keys_unique_and_ordered(catalog5):
     keys = catalog5.keys
     assert len(set(keys)) == len(keys)

@@ -29,6 +29,17 @@ def test_spec_validation():
         GenSpec("lm", 5, 0.5, p_tri=-0.1)
 
 
+@pytest.mark.parametrize("args, named", [
+    (("flag", 10, "0.5"), "p_edge"),
+    (("flag", 10, None), "p_edge"),
+    (("lm", 10, 0.5, "x"), "p_tri"),
+    (("lm", 10, 0.5, 0.5, b"1"), "p_tet"),
+])
+def test_spec_rejects_fill_probabilities_that_are_not_numbers(args, named):
+    with pytest.raises(InputError, match=f"non-real {named}"):
+        GenSpec(*args)
+
+
 def test_spec_takes_the_vertex_count_as_an_integer():
     # A float count would fail inside range() when generating; bool is an
     # integer and still meets the n >= 3 check.

@@ -4,6 +4,7 @@ import pickle
 import random
 import sys
 from collections import Counter
+from decimal import Decimal
 from itertools import combinations
 
 import numpy as np
@@ -96,6 +97,14 @@ def test_config_c_mix_must_be_finite(c_mix, path4):
     with pytest.raises(InputError):
         WalkConfig(m=3, c_mix=c_mix)
     with pytest.raises(InputError):
+        burn_in_steps(path4, c_mix)
+
+
+@pytest.mark.parametrize("c_mix", ["1", None, b"1", Decimal("1")])
+def test_config_c_mix_must_be_a_number(c_mix, path4):
+    with pytest.raises(InputError, match="non-real c_mix"):
+        WalkConfig(m=3, c_mix=c_mix)
+    with pytest.raises(InputError, match="non-real c_mix"):
         burn_in_steps(path4, c_mix)
 
 
@@ -445,8 +454,8 @@ def test_shape_matches_brute_force_connectivity():
             for attach in range(1, full + 1):
                 rows = [attach >> i & 1 for i in range(k)]
                 swaps = [any(rows[:u] + rows[u + 1:]) for u in range(k)]
-                for u, cut in cuts:
-                    swaps[u] = cut(*rows)
+                for cut in cuts:
+                    cut(swaps, *rows)
                 # w joins the state as position k; it may replace u when
                 # the state without u, with w added, is connected.
                 grown = nb + [attach]
@@ -468,25 +477,55 @@ def _deep_size(obj, seen):
     return sys.getsizeof(obj) + sum(_deep_size(kid, seen) for kid in kids)
 
 
-def test_shape_tables_hold_only_removable_and_cut_pairs():
-    # A shape is stored as the pair (removable, cuts); the per-position
-    # parts that build it are not kept.  On this walk a shape takes about
-    # 270 bytes, about 900 with the parts stored as well.
+def _m6_flag_shapes():
+    """``(k, key, entry)`` of every shape-table entry of the kernels after a
+    seeded m = 6 walk on the flag zoo complex."""
     sampler_module._kernel.cache_clear()
     sampler = SimpletSampler(_walk_zoo("flag"), WalkConfig(m=6, burn_in=300, rng_seed=1))
     for _ in range(5):
         sampler.sample()
-    seen, size, count = set(), 0, 0
-    for k in range(2, 7):
-        for entry in sampler_module._kernel(k, 6).__globals__["shapes"].values():
-            assert type(entry) is tuple and len(entry) == 2
-            removable, cuts = entry
-            assert type(removable) is tuple and all(type(u) is int for u in removable)
-            assert type(cuts) is tuple
-            assert all(type(pair) is tuple and len(pair) == 2 and callable(pair[1]) for pair in cuts)
-            size += _deep_size(entry, seen)
-            count += 1
-    assert count > 500 and size / count < 400, (count, size / count)
+    return [
+        (k, key, entry)
+        for k in range(2, 7)
+        for key, entry in sampler_module._kernel(k, 6).__globals__["shapes"].items()
+    ]
+
+
+def test_shape_tables_hold_only_removable_and_cut_pairs():
+    # A shape is stored as the pair (removable, cuts), and cuts holds, for
+    # each position whose removal splits the state, the cached cut function
+    # of that position and partition; the parts that build it are not kept.
+    shapes = _m6_flag_shapes()
+    assert len(shapes) > 500
+    for k, key, entry in shapes:
+        assert type(entry) is tuple and len(entry) == 2
+        removable, cuts = entry
+        assert type(removable) is tuple and all(type(u) is int for u in removable)
+        assert type(cuts) is tuple
+        adj = [set() for _ in range(k)]
+        for bit, (i, j) in enumerate(combinations(range(k), 2)):
+            if key >> bit & 1:
+                adj[i].add(j)
+                adj[j].add(i)
+        expected = []
+        for u in range(k):
+            parts = oracles._components_on(adj, set(range(k)) - {u})
+            if len(parts) > 1:
+                parts = tuple(sorted(tuple(sorted(part)) for part in parts))
+                expected.append(sampler_module._cut(k, u, parts))
+        assert len(cuts) == len(expected)
+        assert all(cut is want for cut, want in zip(cuts, expected)), (k, key)
+
+
+def test_walk_shapes_hold_no_pairs_and_stay_small():
+    # No shape stores a (position, function) pair: each cut function sets its
+    # own position.  On this walk a shape takes about 120 bytes, about 270
+    # with a pair per cut position.
+    seen, size, shapes = set(), 0, _m6_flag_shapes()
+    for _k, _key, (removable, cuts) in shapes:
+        assert not any(type(cut) is tuple for cut in cuts)
+        size += _deep_size((removable, cuts), seen)
+    assert size / len(shapes) < 180, size / len(shapes)
 
 
 def test_kernel_matches_the_segment_oracle_on_every_shape():
@@ -539,8 +578,9 @@ def _set_partitions(items):
 def test_cut_functions_and_their_bound():
     # Every way a position u can be a cut position of a k-vertex state,
     # k = 3..6: the other positions split into at least two parts, listed
-    # as _shape lists them.  The generated function is the AND over the
-    # parts of each part's OR, on rows many machine words up.
+    # as _shape lists them.  The generated function sets swaps[u], and no
+    # other slot, to the AND over the parts of each part's OR, on rows many
+    # machine words up.
     rng = random.Random(22)
     count = 0
     for k in range(3, 7):
@@ -550,7 +590,7 @@ def test_cut_functions_and_their_bound():
                 if len(partition) < 2:
                     continue
                 parts = tuple(sorted(tuple(sorted(part)) for part in partition))
-                cut = sampler_module._cut(k, parts)
+                cut = sampler_module._cut(k, u, parts)
                 for _ in range(3):
                     rows = [rng.getrandbits(2000) << 1000 for _ in range(k)]
                     expected = -1
@@ -559,7 +599,10 @@ def test_cut_functions_and_their_bound():
                         for i in part:
                             reach |= rows[i]
                         expected &= reach
-                    assert cut(*rows) == expected, (k, parts)
+                    before = [rng.getrandbits(64) for _ in range(k)]
+                    swaps = list(before)
+                    assert cut(swaps, *rows) is None
+                    assert swaps == before[:u] + [expected] + before[u + 1:], (k, u, parts)
                 count += 1
     assert count == sum(k * (b - 1) for k, b in [(3, 2), (4, 5), (5, 15), (6, 52)]) == 395
 
