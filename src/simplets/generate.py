@@ -23,7 +23,7 @@ MODELS = ("flag", "lm")
 
 class GenSpec(Record):
     """Generator parameters: the model, the vertex count, the fill
-    probabilities of edges, triangles and tetrahedra, and the seed."""
+    probabilities of edges, triangles and tetrahedra, and the integer seed."""
 
     __slots__ = _compared = _shown = ("model", "n", "p_edge", "p_tri", "p_tet", "seed")
     _arity = 6
@@ -40,7 +40,7 @@ class GenSpec(Record):
         for name, p in (("p_edge", p_edge), ("p_tri", p_tri), ("p_tet", p_tet)):
             if not (0.0 <= _real(p, name) <= 1.0):
                 raise InputError(f"{name}={p} outside [0, 1]")
-        self._store(model, n, p_edge, p_tri, p_tet, seed)
+        self._store(model, n, p_edge, p_tri, p_tet, _index(seed, "seed"))
 
 
 def _base_graph(spec: GenSpec, rng: random.Random):

@@ -31,7 +31,7 @@ import sys
 from collections.abc import Sequence
 from itertools import combinations
 
-from .complexes import Simplet, SimplicialComplex, _real, skeleton_diameter
+from .complexes import Simplet, SimplicialComplex, _index, _real, skeleton_diameter
 from .errors import InputError, IntegrityError, StructuralError
 from .record import Record
 
@@ -60,8 +60,8 @@ class WalkConfig(Record):
     """Random-walk parameters.
 
     ``burn_in`` overrides the mixing-bound heuristic when set; otherwise the
-    sampler uses ``burn_in_steps`` with ``c_mix``.  ``rng_seed`` seeds the
-    sampler's only random stream.
+    sampler uses ``burn_in_steps`` with ``c_mix``.  ``rng_seed``, an integer,
+    seeds the sampler's only random stream.
     """
 
     __slots__ = _compared = _shown = ("m", "burn_in", "c_mix", "rng_seed")
@@ -73,7 +73,7 @@ class WalkConfig(Record):
         if burn_in is not None and (type(burn_in) is not int or burn_in < 1):
             raise InputError(f"burn_in must be a positive integer, got {burn_in!r}")
         _check_positive("c_mix", c_mix)
-        self._store(m, burn_in, c_mix, rng_seed)
+        self._store(m, burn_in, c_mix, _index(rng_seed, "rng_seed"))
 
 
 def _shape(k: int, key: int) -> tuple:

@@ -150,6 +150,82 @@ def test_exact_with_arbitrary_labels(capsys, tmp_path):
     assert obj["total"] == 7
 
 
+# Commands write their JSON with the catalog listing joined from per-simplex
+# text; these check the bytes against json.dumps(obj, indent=2) of the object
+# built from to_json_obj().
+BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
+M_RANGE = [*range(2, MAX_CATALOG_VERTICES),
+           pytest.param(MAX_CATALOG_VERTICES, marks=pytest.mark.slow)]
+# An isolated vertex, and labels holding NUL, quotes, a backslash, non-ASCII
+# text and JSON punctuation around the word catalog.
+ODD_LABELS = 'a\x00b "q" \\x\n"q" ünï catalog\ncatalog "catalog": 7\n7 a\x00b ],\n\\x ünï 😀\nlone\n'
+
+
+def assert_dumped(out, obj):
+    """``out`` is ``json.dumps(obj, indent=2)`` and a newline; a mismatch names
+    its first differing offset (pytest's own diff of megabytes would take minutes)."""
+    expected = json.dumps(obj, indent=2) + "\n"
+    if out != expected:
+        at = len(os.path.commonprefix([out, expected]))
+        window = slice(max(0, at - 30), at + 30)
+        pytest.fail(f"differs at offset {at}: {out[window]!r} vs {expected[window]!r}")
+
+
+def _input_file(monkeypatch, tmp_path, source):
+    """The facet file of a pinned benchmark input ``(workload, gen seed)``, or
+    of the odd-label complex for ``None``."""
+    path = tmp_path / "input.txt"
+    if source is None:
+        path.write_text(ODD_LABELS, encoding="utf-8")
+        return str(path)
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    import workloads
+
+    name, gen_seed = source
+    entries = workloads.load_pins(smoke=False)[name]["entries"]
+    entry = next(e for e in entries if e["gen_seed"] == gen_seed)
+    path.write_text(workloads.check_input(workloads.WORKLOADS[name], entry)[1], encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("m", M_RANGE)
+@pytest.mark.parametrize(
+    "source",
+    [("exact-m5", 24), ("exact-m5", 31), ("exact-m5", 46), ("validate-lm", 11), None],
+    ids=["exact-m5-24", "exact-m5-31", "exact-m5-46", "validate-lm-11", "odd-labels"],
+)
+def test_exact_writes_the_bytes_of_json_dumps(capsys, monkeypatch, tmp_path, source, m):
+    path = _input_file(monkeypatch, tmp_path, source)
+    code, out, _ = run(capsys, ["exact", "--input", path, "--m", str(m)])
+    assert code == 0
+    complex_, labels = load_complex(path)
+    catalog = generate_catalog(m)
+    obj = exact_counts(complex_, catalog).to_json_obj()
+    obj.update(catalog=catalog.to_json_obj(), labels=labels)
+    assert_dumped(out, obj)
+    if source is None:
+        assert complex_.vertex_count == 10 and "catalog" in labels and "a\x00b" in labels
+
+
+@pytest.mark.parametrize("m", M_RANGE[1:])
+def test_approx_writes_the_bytes_of_json_dumps(capsys, monkeypatch, tmp_path, m):
+    path = _input_file(monkeypatch, tmp_path, None)
+    argv = ["approx", "--input", path, "--m", str(m), "--epsilon", "0.5", "--largest-component"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    obj = json.loads(out)
+    assert_dumped(out, obj)
+    assert obj["catalog"] == generate_catalog(m).to_json_obj()
+    assert len(obj["labels"]) == 9 and "\\x" in obj["labels"]
+
+
+@pytest.mark.parametrize("m", M_RANGE)
+def test_catalog_writes_the_bytes_of_json_dumps(capsys, m):
+    code, out, _ = run(capsys, ["catalog", "--m", str(m)])
+    assert code == 0
+    assert_dumped(out, generate_catalog(m).to_json_obj())
+
+
 def test_exact_missing_file_is_input_error(capsys, tmp_path):
     code = main(["exact", "--input", str(tmp_path / "nope.txt"), "--m", "3"])
     assert code == 3
@@ -206,6 +282,7 @@ def test_validate_report(capsys, tmp_path):
     code, out, _ = run(capsys, argv)
     assert code == 0
     report = json.loads(out)
+    assert_dumped(out, report)
     assert report["trials"] == 20
     assert len(report["linf_errors"]) == 20
     failures = sum(1 for e in report["linf_errors"] if e > 0.15)

@@ -51,6 +51,22 @@ def test_spec_takes_the_vertex_count_as_an_integer():
     assert type(spec.n) is int and generate(spec).vertex_count == 10
 
 
+@pytest.mark.parametrize("seed", [None, [1], 1.5])
+def test_spec_takes_the_seed_as_an_integer(seed):
+    with pytest.raises(InputError, match="non-integer seed"):
+        GenSpec("flag", 10, 0.5, seed=seed)
+
+
+def test_integer_seeds_give_the_same_complex():
+    facets = [[0, 1, 6], [0, 3, 6], [0, 7], [0, 9], [0, 10], [2, 3, 6], [2, 7], [3, 6, 11],
+              [4, 5, 6], [4, 10], [5, 7], [8, 10], [9, 11], [10, 11]]
+    for seed in (3, np.int64(3)):
+        spec = GenSpec("flag", 12, 0.4, seed=seed)
+        assert type(spec.seed) is int
+        complex_ = largest_connected_restriction(generate(spec)).complex
+        assert sorted(map(sorted, complex_.facets)) == facets
+
+
 def test_flag_complete(catalog4):
     complex_ = generate(GenSpec("flag", 5, 1.0, seed=1))
     # truncation at dimension 3: the facets are the five 4-vertex simplices

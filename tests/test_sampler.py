@@ -108,6 +108,23 @@ def test_config_c_mix_must_be_a_number(c_mix, path4):
         burn_in_steps(path4, c_mix)
 
 
+@pytest.mark.parametrize("seed", [None, [1], 1.5])
+def test_config_seed_must_be_an_int(seed):
+    # None would seed from OS entropy, [1] would raise TypeError in the walk
+    with pytest.raises(InputError, match="non-integer rng_seed"):
+        WalkConfig(m=3, rng_seed=seed)
+
+
+def test_integer_seeds_give_the_same_stream():
+    complex_ = largest_connected_restriction(generate(GenSpec("flag", 12, 0.4, seed=3))).complex
+    stream = [(1, 6, 11), (0, 4, 5, 6), (0, 2, 6, 11), (2, 3, 4, 6), (0, 4, 6, 11)]
+    for seed in (7, -7, np.int64(7)):
+        config = WalkConfig(m=4, burn_in=20, rng_seed=seed)
+        assert type(config.rng_seed) is int
+        sampler = SimpletSampler(complex_, config)
+        assert [sampler.sample().vertices for _ in range(5)] == stream
+
+
 def test_burn_in_that_overflows_is_rejected(path4):
     # finite c_mix, infinite bound: an InputError, not an OverflowError
     with pytest.raises(InputError):
