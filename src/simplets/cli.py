@@ -3,7 +3,9 @@
 Exit codes: 0 success, 2 usage error, 3 malformed input, 4 structural error
 (disconnected or too-small complex), 5 internal integrity failure.  A reader
 that closes standard output early (``simplets catalog --m 5 | head -1``) ends
-the output quietly: no traceback, nothing on stderr, exit code 0.
+the output quietly: no traceback, nothing on stderr, exit code 0.  Each
+command writes its output once it is complete, so a failing command leaves an
+existing ``--output`` file as it was.
 
 Every JSON output holds the bytes of ``json.dumps(obj, indent=2)``.  The
 catalog listing of ``catalog``, ``exact`` and ``approx`` (22.3 MB of the
@@ -15,7 +17,6 @@ most of an m = 6 run.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import io
 import json
@@ -31,7 +32,7 @@ from .errors import InputError, IntegrityError, StructuralError
 from .exact import exact_counts
 from .generate import GenSpec, generate, largest_connected_restriction
 from .io import load_complex, write_facets
-from .sampler import SimpletSampler, WalkConfig, burn_in_steps
+from .sampler import burn_in_steps
 
 EXIT_OK = 0
 EXIT_INPUT = 3
@@ -143,8 +144,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_stdout(text: str) -> None:
-    """Write ``text`` to stdout; a reader that closed the pipe ends it quietly."""
+def _write(path: str, text: str, mode: str = "w") -> None:
+    """Write a command's finished ``text`` to the file at ``path``, or to
+    stdout for ``-``.
+
+    An unwritable path raises InputError; a reader that closed stdout ends it
+    quietly.  Writing ``""`` with ``mode="a"`` checks a path before a long
+    run without changing an existing file."""
+    if path != "-":
+        try:
+            with open(path, mode, encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        return
     try:
         sys.stdout.write(text)
         sys.stdout.flush()
@@ -154,23 +167,6 @@ def _write_stdout(text: str) -> None:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-
-
-@contextlib.contextmanager
-def _output(path: str):
-    """A text handle on ``path``, or on stdout for ``-``; an unwritable path
-    raises InputError on entry."""
-    if path == "-":
-        buffer = io.StringIO()
-        yield buffer
-        _write_stdout(buffer.getvalue())
-        return
-    try:
-        handle = open(path, "w", encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
-    with handle:
-        yield handle
 
 
 def _catalog_json(catalog: SimpletCatalog, pad: str) -> str:
@@ -203,11 +199,11 @@ def _print_json(obj: dict) -> None:
         )
         for key, value in obj.items()
     )
-    _write_stdout("{\n  " + text + "\n}\n")
+    _write("-", "{\n  " + text + "\n}\n")
 
 
 def cmd_catalog(args) -> int:
-    _write_stdout(_catalog_json(generate_catalog(args.m), "") + "\n")
+    _write("-", _catalog_json(generate_catalog(args.m), "") + "\n")
     return EXIT_OK
 
 
@@ -246,28 +242,34 @@ def cmd_approx(args) -> int:
     return EXIT_OK
 
 
+def _generated(args, n: int | None, p_edge: float | None, seed: int, largest: bool) -> SimplicialComplex:
+    """``generate`` on the generator flags with this ``n``, ``p_edge`` and
+    ``seed``, restricted to its largest connected component when ``largest``."""
+    if n is None or p_edge is None:
+        raise InputError("--model requires --n and --p-edge")
+    complex_ = generate(GenSpec(args.model, n, p_edge, args.p_tri, args.p_tet, seed))
+    if largest:
+        complex_, _kept = largest_connected_restriction(complex_)
+    return complex_
+
+
 def _complex_from_args(args) -> tuple[SimplicialComplex, dict]:
     if (args.input is None) == (args.model is None):
         raise InputError("provide exactly one of --input or --model")
-    if args.input is not None:
-        complex_, _labels = load_complex(args.input)
-        origin = {"input": args.input}
-    else:
-        if args.n is None or args.p_edge is None:
-            raise InputError("--model requires --n and --p-edge")
-        spec = GenSpec(args.model, args.n, args.p_edge, args.p_tri, args.p_tet, args.gen_seed)
-        complex_ = generate(spec)
-        origin = {
-            "model": spec.model,
-            "n": spec.n,
-            "p_edge": spec.p_edge,
-            "p_tri": spec.p_tri,
-            "p_tet": spec.p_tet,
-            "gen_seed": spec.seed,
+    if args.model is not None:
+        complex_ = _generated(args, args.n, args.p_edge, args.gen_seed, args.largest_component)
+        return complex_, {
+            "model": args.model,
+            "n": args.n,
+            "p_edge": args.p_edge,
+            "p_tri": args.p_tri,
+            "p_tet": args.p_tet,
+            "gen_seed": args.gen_seed,
         }
+    complex_, _labels = load_complex(args.input)
     if args.largest_component:
         complex_, _kept = largest_connected_restriction(complex_)
-    return complex_, origin
+    return complex_, {"input": args.input}
 
 
 def _usable_cpus() -> int:
@@ -348,14 +350,10 @@ def cmd_validate(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.n is None or args.p_edge is None:
-        raise InputError("gen requires --n and --p-edge")
-    spec = GenSpec(args.model, args.n, args.p_edge, args.p_tri, args.p_tet, args.seed)
-    complex_ = generate(spec)
-    if args.largest_component:
-        complex_, _kept = largest_connected_restriction(complex_)
-    with _output(args.output) as handle:
-        write_facets(handle, complex_)
+    complex_ = _generated(args, args.n, args.p_edge, args.seed, args.largest_component)
+    buffer = io.StringIO()
+    write_facets(buffer, complex_)
+    _write(args.output, buffer.getvalue())
     return EXIT_OK
 
 
@@ -366,24 +364,23 @@ def cmd_bench(args) -> int:
             raise InputError(
                 f"--avg-degree {args.avg_degree} exceeds n - 1 = {size - 1} for size {size}"
             )
+    _write(args.output, "", "a")  # an unwritable path fails before the sweep
+    catalog = generate_catalog(args.m)
     rows = ["n,edges,max_degree,diameter,burn_in,samples,seconds"]
-    with _output(args.output) as handle:  # an unwritable path fails before the sweep
-        for index, size in enumerate(args.sizes):
-            p_edge = args.avg_degree / (size - 1)
-            spec = GenSpec(args.model, size, p_edge, args.p_tri, args.p_tet, args.seed + index)
-            complex_, _kept = largest_connected_restriction(generate(spec))
-            diameter = skeleton_diameter(complex_)
-            walk = WalkConfig(m=args.m, c_mix=args.c_mix, rng_seed=args.seed + index)
-            sampler = SimpletSampler(complex_, walk)
-            t0 = time.perf_counter()
-            for _ in range(samples):
-                sampler.sample()
-            seconds = time.perf_counter() - t0
-            rows.append(
-                f"{complex_.vertex_count},{complex_.edge_count},{complex_.max_degree},"
-                f"{diameter.value},{sampler.burn_in},{samples},{seconds:.6f}"
-            )
-        handle.write("\n".join(rows) + "\n")
+    for index, size in enumerate(args.sizes):
+        seed = args.seed + index
+        complex_ = _generated(args, size, args.avg_degree / (size - 1), seed, largest=True)
+        diameter = skeleton_diameter(complex_)
+        t0 = time.perf_counter()
+        approximate_sfd(
+            complex_, catalog, args.epsilon, args.delta, args.c, seed=seed, c_mix=args.c_mix
+        )
+        seconds = time.perf_counter() - t0
+        rows.append(
+            f"{complex_.vertex_count},{complex_.edge_count},{complex_.max_degree},"
+            f"{diameter.value},{burn_in_steps(complex_, args.c_mix)},{samples},{seconds:.6f}"
+        )
+    _write(args.output, "\n".join(rows) + "\n")
     return EXIT_OK
 
 

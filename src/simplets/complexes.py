@@ -12,7 +12,7 @@ import functools
 import operator
 from collections import namedtuple
 from collections.abc import Iterable
-from itertools import combinations
+from itertools import combinations, compress
 
 from .errors import InputError, StructuralError
 from .record import Record
@@ -21,6 +21,7 @@ __all__ = [
     "SimplicialComplex",
     "Simplet",
     "DiameterEstimate",
+    "MAX_IMPLIED_EDGES",
     "build_complex",
     "decode_mask",
     "induced_subcomplex",
@@ -194,12 +195,35 @@ def simplex_layout(k: int) -> tuple[tuple[tuple[int, ...], int, int], ...]:
     )
 
 
+@functools.cache
+def _mask_digits(k: int) -> tuple[tuple[tuple[int, ...], ...], str, int]:
+    """The subsets of ``simplex_layout(k)`` in order, one per binary digit of
+    a mask, heaviest first; the format that spells a mask in those digits; and
+    the bound that every mask lies below."""
+    subsets = tuple(s for s, _, _ in simplex_layout(k))
+    return subsets, f"0{len(subsets)}b", 1 << len(subsets)
+
+
+_DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
 def decode_mask(k: int, mask: int) -> tuple[tuple[int, ...], ...]:
     """The local simplices a k-vertex simplex mask holds, in (size, tuple) order."""
-    return tuple(s for s, weight, _ in simplex_layout(k) if mask & weight)
+    subsets, digits, bound = _mask_digits(k)
+    if not 0 <= mask < bound:
+        raise InputError(f"{mask} is not a {k}-vertex simplex mask")
+    return tuple(compress(subsets, format(mask, digits).encode().translate(_DIGIT_BITS)))
 
 
 DiameterEstimate = namedtuple("DiameterEstimate", "value")
+
+# The most edges that build_complex's candidates may imply, summing
+# C(|facet|, 2) over them.  At this limit, loading a file of 2-vertex facets
+# peaked at 902 MB RSS (about 1.1 kB per edge, the worst shape measured) and
+# one facet of 1,265 vertices at 253 MB, so an accepted input stays under
+# 1 GB; a 110 kB line of 20,000 labels, which would need about 40 GB, fails
+# at once.  Lower bytes per edge would let the limit rise.
+MAX_IMPLIED_EDGES = 800_000
 
 
 def build_complex(facet_list: Iterable[Iterable[int]], vertex_count: int) -> SimplicialComplex:
@@ -207,12 +231,15 @@ def build_complex(facet_list: Iterable[Iterable[int]], vertex_count: int) -> Sim
 
     Every vertex id must lie in ``[0, vertex_count)`` and every facet must be
     non-empty.  Entries that are subsets of other entries are removed so the
-    stored facets form an antichain.
+    stored facets form an antichain.  Entries implying more than
+    ``MAX_IMPLIED_EDGES`` edges in all raise InputError before anything is
+    built.
     """
     vertex_count = _index(vertex_count, "vertex_count")
     if vertex_count < 0:
         raise InputError("vertex_count must be nonnegative")
     candidates: set[frozenset[int]] = set()
+    implied = 0
     for entry in facet_list:
         try:
             facet = frozenset(operator.index(v) for v in entry)
@@ -220,6 +247,12 @@ def build_complex(facet_list: Iterable[Iterable[int]], vertex_count: int) -> Sim
             raise InputError(f"non-integer vertex id in facet {entry!r}") from exc
         if not facet:
             raise InputError("empty facet")
+        implied += len(facet) * (len(facet) - 1) // 2
+        if implied > MAX_IMPLIED_EDGES:
+            raise InputError(
+                f"the facets imply more than {MAX_IMPLIED_EDGES} edges, "
+                "more than this tool loads within about 1 GB"
+            )
         for v in facet:
             if not (0 <= v < vertex_count):
                 raise InputError(f"vertex id {v} out of range [0, {vertex_count})")

@@ -3,12 +3,14 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from simplets import cli, exact_counts, generate_catalog, load_complex, required_samples
 from simplets.catalog import MAX_CATALOG_VERTICES
+from simplets.complexes import MAX_IMPLIED_EDGES
 from simplets.cli import build_parser, main
 
 SAMPLING_COMMANDS = ("approx", "validate", "bench")
@@ -469,7 +471,7 @@ def test_unwritable_output_is_input_error(capsys, tmp_path, monkeypatch, command
     def no_sweep(*args):
         raise AssertionError("the sweep ran before the output was opened")
 
-    monkeypatch.setattr("simplets.cli.SimpletSampler", no_sweep)
+    monkeypatch.setattr("simplets.cli.approximate_sfd", no_sweep)
     path = tmp_path / "missing" / "x"
     code, out, err = run(capsys, command + ["--output", str(path)])
     assert code == 3
@@ -519,3 +521,79 @@ def test_bound_beyond_any_run_is_input_error(capsys, tmp_path, monkeypatch, flag
     code, out, err = run(capsys, ["approx", "--input", path, "--m", "3", flag, "1e300"])
     assert code == 3
     assert out == "" and err.startswith("input error:")
+
+
+def test_gen_output_file_holds_the_stdout_bytes(capsys, tmp_path):
+    for argv in (
+        ["gen", "--model", "flag", "--n", "60", "--p-edge", "0.05", "--seed", "7"],
+        ["gen", "--model", "lm", "--n", "40", "--p-edge", "0.2", "--p-tri", "0.5",
+         "--p-tet", "0.5", "--seed", "3", "--largest-component"],
+    ):
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        path = tmp_path / "complex.txt"
+        assert main(argv + ["--output", str(path)]) == 0
+        assert path.read_bytes() == out.encode("utf-8")
+
+
+def test_bench_columns_match_the_pinned_sweep(capsys):
+    code, out, _ = run(capsys, ["bench", "--sizes", "14,20", "--avg-degree", "5", "--m", "3",
+                                "--epsilon", "0.5", "--seed", "2"])
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()]
+    assert [row[:6] for row in rows] == [
+        ["n", "edges", "max_degree", "diameter", "burn_in", "samples"],
+        ["14", "29", "9", "3", "214", "7"],
+        ["20", "43", "8", "4", "384", "7"],
+    ]
+    assert rows[0][6] == "seconds" and all(float(row[6]) > 0 for row in rows[1:])
+
+
+def test_failing_bench_leaves_an_existing_output_file_as_it_was(capsys, tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"n,seconds\n100,0.5\n")
+    # size 3 at this degree has no edges, so the sweep fails on its first size
+    code, out, err = run(capsys, ["bench", "--sizes", "3,2000", "--avg-degree", "0.001",
+                                  "--m", "3", "--epsilon", "0.9", "--output", str(path)])
+    assert code == 4 and err.startswith("structural error:")
+    assert path.read_bytes() == b"n,seconds\n100,0.5\n"
+
+
+def _hostile_line(tmp_path):
+    path = tmp_path / "line.txt"
+    path.write_text(" ".join(f"v{i}" for i in range(20_000)) + "\n")
+    return path
+
+
+def _hostile_facets(tmp_path):
+    # disjoint 300-label facets implying four times the limit, about 130 kB
+    path = tmp_path / "facets.txt"
+    count = 4 * MAX_IMPLIED_EDGES // (300 * 299 // 2) + 1
+    path.write_text("".join(
+        " ".join(f"f{j}v{i}" for i in range(300)) + "\n" for j in range(count)
+    ))
+    return path
+
+
+@pytest.mark.parametrize("make_input", [_hostile_line, _hostile_facets], ids=["line", "facets"])
+def test_hostile_facet_file_is_input_error_within_a_second(tmp_path, make_input):
+    resource = pytest.importorskip("resource")
+    limit = 512 << 20
+
+    def cap_address_space():
+        # in the child only: a regression runs out of memory there and fails
+        # this test, instead of exhausting the machine
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    path = make_input(tmp_path)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "simplets", "exact", "--m", "3", "--input", str(path)],
+        capture_output=True, text=True, env=env, preexec_fn=cap_address_space, timeout=60,
+    )
+    elapsed = time.perf_counter() - t0
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == "" and proc.stderr.startswith("input error:") and "edges" in proc.stderr
+    assert elapsed < 1.0

@@ -314,3 +314,30 @@ def test_skeleton_diameter_disconnected_names_vertices():
         with pytest.raises(StructuralError) as info:
             skeleton_diameter(build_complex(facets, n))
         assert str(info.value) == message
+
+
+def test_decode_mask_equals_the_layout_scan_for_every_catalog_key():
+    from simplets.catalog import _CATALOG_DATA
+
+    with open(_CATALOG_DATA, encoding="ascii") as data:
+        keys = [(int(k), int(mask, 16)) for k, mask in map(str.split, data)]
+    assert len(keys) == 16117 and max(k for k, _ in keys) == 6
+    for k, mask in keys:
+        scan = tuple(s for s, weight, _ in complexes.simplex_layout(k) if mask & weight)
+        assert complexes.decode_mask(k, mask) == scan
+
+
+@pytest.mark.parametrize("mask", [-1, 1 << 11])
+def test_decode_mask_rejects_a_mask_outside_the_layout(mask):
+    with pytest.raises(InputError):
+        complexes.decode_mask(4, mask)  # 11 subsets with at least two vertices
+
+
+def test_build_complex_limits_the_implied_edges(monkeypatch):
+    assert complexes.MAX_IMPLIED_EDGES < 1266 * 1265 // 2
+    with pytest.raises(InputError, match="edges"):
+        build_complex([range(1266)], 1266)
+    monkeypatch.setattr(complexes, "MAX_IMPLIED_EDGES", 4)
+    assert build_complex([(0, 1, 2), (2, 3)], 4).edge_count == 4  # 3 + 1 implied edges
+    with pytest.raises(InputError, match="more than 4 edges"):
+        build_complex([(0, 1, 2), (2, 3), (1, 3)], 4)
