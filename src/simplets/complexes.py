@@ -22,6 +22,7 @@ __all__ = [
     "Simplet",
     "DiameterEstimate",
     "MAX_IMPLIED_EDGES",
+    "MAX_VERTICES",
     "build_complex",
     "decode_mask",
     "induced_subcomplex",
@@ -53,31 +54,51 @@ def _real(value, what: str):
 class SimplicialComplex:
     """Immutable simplicial complex over dense vertex ids ``[0, n)``.
 
-    Construct through :func:`build_complex`, or from facets already in its
-    order, as ``largest_connected_restriction`` does; instances are safe for
-    concurrent read access.  ``_diameter`` memoises :func:`skeleton_diameter`,
-    and ``_bits`` :meth:`_adjacency_bits`.  Every connectivity query on the
-    1-skeleton runs one component search, :func:`_component`.
+    Construct through :func:`build_complex`.  The constructor itself takes
+    candidate facets: non-empty frozensets of ids in ``[0, n)``, each before
+    its proper subsets (largest first does this).  It keeps a candidate as the
+    next facet unless an earlier kept facet contains it, so faces and repeats
+    of kept facets drop out, and it fills the facet incidence and the
+    adjacency in that one pass; it checks nothing else.
+    ``largest_connected_restriction`` hands it facets already in this order.
+    Instances are safe for concurrent read access.  ``_diameter`` memoises
+    :func:`skeleton_diameter`, and ``_bits`` :meth:`_adjacency_bits`.  Every
+    connectivity query on the 1-skeleton runs one component search,
+    :func:`_component`.
     """
 
     __slots__ = (
         "vertex_count", "facets", "adjacency", "max_degree", "_incidence", "_diameter", "_bits",
     )
 
-    def __init__(self, vertex_count: int, facets: tuple[frozenset[int], ...]):
+    def __init__(self, vertex_count: int, candidates: Iterable[frozenset[int]]):
         self.vertex_count = vertex_count
-        self.facets = facets
-        incidence: list[set[int]] = [set() for _ in range(vertex_count)]
-        adjacency: list[set[int]] = [set() for _ in range(vertex_count)]
-        for idx, facet in enumerate(facets):
+        facets = []
+        incidence = [set() for _ in range(vertex_count)]
+        adjacency = [set() for _ in range(vertex_count)]
+        for facet in candidates:
+            # A kept facet holds this candidate iff its vertices' incidences
+            # share an index, which needs the first vertex to neighbour the rest.
+            rest = iter(facet)
+            if adjacency[next(rest)].issuperset(rest) and set.intersection(
+                *[incidence[v] for v in facet]
+            ):
+                continue
+            idx = len(facets)  # one int object shared by every vertex
+            facets.append(facet)
             for v in facet:
                 incidence[v].add(idx)
             for u, v in combinations(sorted(facet), 2):
                 adjacency[u].add(v)
                 adjacency[v].add(u)
-        self._incidence: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in incidence)
-        self.adjacency: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adjacency)
-        self.max_degree = max((len(s) for s in self.adjacency), default=0)
+        # freeze in place, so each set goes as its frozenset is made
+        for table in (incidence, adjacency):
+            for v, s in enumerate(table):
+                table[v] = frozenset(s)
+        self.facets: tuple[frozenset[int], ...] = tuple(facets)
+        self._incidence: tuple[frozenset[int], ...] = tuple(incidence)
+        self.adjacency: tuple[frozenset[int], ...] = tuple(adjacency)
+        self.max_degree = max(map(len, adjacency), default=0)
         self._diameter: DiameterEstimate | None = None
         self._bits: tuple[int, ...] | None = None
 
@@ -210,6 +231,7 @@ _DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
 def decode_mask(k: int, mask: int) -> tuple[tuple[int, ...], ...]:
     """The local simplices a k-vertex simplex mask holds, in (size, tuple) order."""
     subsets, digits, bound = _mask_digits(k)
+    mask = _index(mask, "mask")
     if not 0 <= mask < bound:
         raise InputError(f"{mask} is not a {k}-vertex simplex mask")
     return tuple(compress(subsets, format(mask, digits).encode().translate(_DIGIT_BITS)))
@@ -218,26 +240,35 @@ def decode_mask(k: int, mask: int) -> tuple[tuple[int, ...], ...]:
 DiameterEstimate = namedtuple("DiameterEstimate", "value")
 
 # The most edges that build_complex's candidates may imply, summing
-# C(|facet|, 2) over them.  At this limit, loading a file of 2-vertex facets
-# peaked at 902 MB RSS (about 1.1 kB per edge, the worst shape measured) and
-# one facet of 1,265 vertices at 253 MB, so an accepted input stays under
-# 1 GB; a 110 kB line of 20,000 labels, which would need about 40 GB, fails
-# at once.  Lower bytes per edge would let the limit rise.
+# C(|facet|, 2) over them, and the most vertices a complex may have, checked
+# before any per-vertex table.  At both limits, loading a file peaked under
+# 1 GB RSS on Python 3.11: 820 MB for 800,000 2-vertex lines plus singleton
+# lines up to 200,000 vertices (the worst shape measured), 658 MB for 800,000
+# edges over 200,000 vertices, 203 MB for 200,000 singleton lines and 177 MB
+# for one facet of 1,265 vertices.  A 110 kB line of 20,000 labels, which
+# would need about 40 GB, fails at once.  Lower bytes per edge or per vertex
+# would let the limits rise.
 MAX_IMPLIED_EDGES = 800_000
+MAX_VERTICES = 200_000
+_WITHIN_1GB = "more than this tool loads within about 1 GB"
 
 
 def build_complex(facet_list: Iterable[Iterable[int]], vertex_count: int) -> SimplicialComplex:
     """Build a complex from candidate facets, dropping duplicates and non-maximal entries.
 
     Every vertex id must lie in ``[0, vertex_count)`` and every facet must be
-    non-empty.  Entries that are subsets of other entries are removed so the
-    stored facets form an antichain.  Entries implying more than
-    ``MAX_IMPLIED_EDGES`` edges in all raise InputError before anything is
-    built.
+    non-empty.  This checks the entries, drops repeats and sorts the rest
+    largest first, then by sorted vertices; the :class:`SimplicialComplex`
+    constructor drops each entry that a kept one contains, so the stored
+    facets form an antichain.  More than ``MAX_VERTICES`` vertices, or entries
+    implying more than ``MAX_IMPLIED_EDGES`` edges in all, raise InputError
+    before anything is built.
     """
     vertex_count = _index(vertex_count, "vertex_count")
     if vertex_count < 0:
         raise InputError("vertex_count must be nonnegative")
+    if vertex_count > MAX_VERTICES:
+        raise InputError(f"vertex_count {vertex_count} is over {MAX_VERTICES}, {_WITHIN_1GB}")
     candidates: set[frozenset[int]] = set()
     implied = 0
     for entry in facet_list:
@@ -249,32 +280,12 @@ def build_complex(facet_list: Iterable[Iterable[int]], vertex_count: int) -> Sim
             raise InputError("empty facet")
         implied += len(facet) * (len(facet) - 1) // 2
         if implied > MAX_IMPLIED_EDGES:
-            raise InputError(
-                f"the facets imply more than {MAX_IMPLIED_EDGES} edges, "
-                "more than this tool loads within about 1 GB"
-            )
+            raise InputError(f"the facets imply more than {MAX_IMPLIED_EDGES} edges, {_WITHIN_1GB}")
         for v in facet:
             if not (0 <= v < vertex_count):
                 raise InputError(f"vertex id {v} out of range [0, {vertex_count})")
         candidates.add(facet)
-
-    # Largest first: a candidate is a facet iff no already-kept set contains it.
-    kept: list[frozenset[int]] = []
-    incidence: list[set[int]] = [set() for _ in range(vertex_count)]
-    for facet in sorted(candidates, key=lambda f: (-len(f), sorted(f))):
-        it = iter(facet)
-        common = set(incidence[next(it)])
-        for v in it:
-            common &= incidence[v]
-            if not common:
-                break
-        if common:
-            continue
-        idx = len(kept)
-        kept.append(facet)
-        for v in facet:
-            incidence[v].add(idx)
-    return SimplicialComplex(vertex_count, tuple(kept))
+    return SimplicialComplex(vertex_count, sorted(candidates, key=lambda f: (-len(f), *sorted(f))))
 
 
 def induced_subcomplex(complex_: SimplicialComplex, vertices: Iterable[int]) -> Simplet | None:

@@ -12,7 +12,9 @@ import random
 from collections import namedtuple
 from itertools import combinations
 
-from .complexes import SimplicialComplex, _index, _real, build_complex, connected_components
+from .complexes import (
+    MAX_VERTICES, SimplicialComplex, _index, _real, build_complex, connected_components,
+)
 from .errors import InputError, StructuralError
 from .record import Record
 
@@ -37,6 +39,8 @@ class GenSpec(Record):
         n = _index(n, "n")
         if n < 3:
             raise InputError(f"generator needs n >= 3, got n={n}")
+        if n > MAX_VERTICES:  # fail before the O(n²) base graph, not after it
+            raise InputError(f"generator takes at most {MAX_VERTICES} vertices, got n={n}")
         for name, p in (("p_edge", p_edge), ("p_tri", p_tri), ("p_tet", p_tet)):
             if not (0.0 <= _real(p, name) <= 1.0):
                 raise InputError(f"{name}={p} outside [0, 1]")
@@ -118,9 +122,7 @@ def largest_connected_restriction(complex_: SimplicialComplex) -> RestrictionRes
         return RestrictionResult(complex_, tuple(components[0]))
     best = max(components, key=lambda comp: (len(comp), -min(comp)))
     relabel = {old: new for new, old in enumerate(best)}
-    # A facet lies inside one component, and an increasing relabelling keeps
-    # build_complex's facet order, so the kept facets need no second build.
-    facets = tuple(
+    facets = (
         frozenset(relabel[v] for v in facet)
         for facet in complex_.facets
         if next(iter(facet)) in relabel

@@ -14,7 +14,7 @@ from collections import namedtuple
 from collections.abc import Iterable
 from io import TextIOBase
 
-from .complexes import SimplicialComplex, build_complex
+from .complexes import _WITHIN_1GB, MAX_VERTICES, SimplicialComplex, build_complex
 from .errors import InputError
 
 __all__ = ["ParsedFacets", "read_facets", "load_complex", "write_facets"]
@@ -42,7 +42,11 @@ def _lines(source: str | os.PathLike | Iterable[str]) -> Iterable[str]:
 
 
 def read_facets(source: str | os.PathLike | Iterable[str]) -> ParsedFacets:
-    """Parse a facet file into integer facets plus the label table."""
+    """Parse a facet file into integer facets plus the label table.
+
+    A file with more than ``MAX_VERTICES`` distinct labels raises InputError
+    as soon as the label past the limit is read.
+    """
     ids: dict[str, int] = {}
     facets: list[tuple[int, ...]] = []
     for lineno, raw in enumerate(_lines(source), start=1):
@@ -53,6 +57,10 @@ def read_facets(source: str | os.PathLike | Iterable[str]) -> ParsedFacets:
         facet = []
         for token in tokens:
             if token not in ids:
+                if len(ids) == MAX_VERTICES:
+                    raise InputError(
+                        f"line {lineno}: more than {MAX_VERTICES} vertex labels, {_WITHIN_1GB}"
+                    )
                 ids[token] = len(ids)
             facet.append(ids[token])
         if len(set(facet)) != len(facet):
@@ -85,7 +93,8 @@ def write_facets(
     whitespace-free token or names two vertices, since it would not read
     back as one vertex.  Vertices outside every facet are written as
     singleton lines so the vertex count round-trips through the format.
-    Nothing is written when it raises.
+    Nothing is written when a label or a facet is rejected.  A path that
+    cannot be opened or written raises ``InputError`` too.
     """
     if labels is not None:
         if len(labels) != complex_.vertex_count:
@@ -112,7 +121,10 @@ def write_facets(
     lines.extend(line((v,)) for v in range(complex_.vertex_count) if v not in covered)
 
     if isinstance(destination, (str, os.PathLike)):
-        with open(destination, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
+        try:
+            with open(destination, "w", encoding="utf-8") as handle:
+                handle.write("\n".join(lines) + "\n")
+        except OSError as exc:
+            raise InputError(f"cannot write facet file {destination}: {exc}") from exc
     else:
         destination.write("\n".join(lines) + "\n")

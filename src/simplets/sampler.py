@@ -251,10 +251,17 @@ def state_degree(complex_: SimplicialComplex, state: Sequence[int], m: int) -> i
 def burn_in_steps(
     complex_: SimplicialComplex, c_mix: float, diameter: int | None = None
 ) -> int:
-    """Walk length from the mixing-time bound: ceil(c_mix * ln(max(n,3)) * max_degree * diam^2)."""
+    """Walk length from the mixing-time bound: ceil(c_mix * ln(max(n,3)) * max_degree * diam^2).
+
+    A given ``diameter`` must be a nonnegative integer; InputError otherwise.
+    """
     _check_positive("c_mix", c_mix)
     if diameter is None:
         diameter = skeleton_diameter(complex_).value
+    else:
+        diameter = _index(diameter, "diameter")
+        if diameter < 0:
+            raise InputError(f"diameter must be nonnegative, got {diameter}")
     n = complex_.vertex_count
     raw = c_mix * math.log(max(n, 3)) * complex_.max_degree * diameter * diameter
     if not raw <= sys.maxsize:  # no range of steps can be longer

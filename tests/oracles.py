@@ -15,6 +15,23 @@ from simplets import SimplicialComplex
 from simplets.complexes import simplex_layout
 
 
+def built_tables(candidates, n: int):
+    """What ``build_complex(candidates, n)`` must store, by brute force.
+
+    The facets are the distinct candidates that lie in no other candidate,
+    largest first and then by sorted vertices; beside them, each vertex's set
+    of facet indices and its set of neighbours, one per vertex.
+    """
+    distinct = {frozenset(c) for c in candidates}
+    facets = sorted(
+        (f for f in distinct if not any(f < g for g in distinct)),
+        key=lambda f: (-len(f), sorted(f)),
+    )
+    incidence = [{i for i, f in enumerate(facets) if v in f} for v in range(n)]
+    adjacency = [{u for f in facets if v in f for u in f if u != v} for v in range(n)]
+    return facets, incidence, adjacency
+
+
 def subset_spans_simplex(complex_: SimplicialComplex, vertices) -> bool:
     vs = set(vertices)
     return any(vs <= facet for facet in complex_.facets)

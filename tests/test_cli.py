@@ -10,7 +10,7 @@ import pytest
 
 from simplets import cli, exact_counts, generate_catalog, load_complex, required_samples
 from simplets.catalog import MAX_CATALOG_VERTICES
-from simplets.complexes import MAX_IMPLIED_EDGES
+from simplets.complexes import MAX_IMPLIED_EDGES, MAX_VERTICES
 from simplets.cli import build_parser, main
 
 SAMPLING_COMMANDS = ("approx", "validate", "bench")
@@ -575,25 +575,65 @@ def _hostile_facets(tmp_path):
     return path
 
 
-@pytest.mark.parametrize("make_input", [_hostile_line, _hostile_facets], ids=["line", "facets"])
-def test_hostile_facet_file_is_input_error_within_a_second(tmp_path, make_input):
+def _hostile_singletons(tmp_path):
+    # one label per line, one line past the vertex limit, about 1.5 MB
+    path = tmp_path / "singletons.txt"
+    path.write_text("".join(f"v{i}\n" for i in range(MAX_VERTICES + 1)))
+    return path
+
+
+def _hostile_pairs(tmp_path):
+    # disjoint pairs, one pair past the vertex limit, about 1.5 MB
+    path = tmp_path / "pairs.txt"
+    path.write_text("".join(f"a{i} b{i}\n" for i in range(MAX_VERTICES // 2 + 1)))
+    return path
+
+
+def _run_capped(args):
+    """Run the interpreter on ``args`` with its address space capped at 512 MB;
+    the finished process and its wall time."""
     resource = pytest.importorskip("resource")
     limit = 512 << 20
 
     def cap_address_space():
         # in the child only: a regression runs out of memory there and fails
-        # this test, instead of exhausting the machine
+        # the test, instead of exhausting the machine
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-    path = make_input(tmp_path)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     t0 = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-m", "simplets", "exact", "--m", "3", "--input", str(path)],
+        [sys.executable, *args],
         capture_output=True, text=True, env=env, preexec_fn=cap_address_space, timeout=60,
     )
-    elapsed = time.perf_counter() - t0
+    return proc, time.perf_counter() - t0
+
+
+@pytest.mark.parametrize(
+    "make_input, limit",
+    [(_hostile_line, "edges"), (_hostile_facets, "edges"),
+     (_hostile_singletons, "vertex labels"), (_hostile_pairs, "vertex labels")],
+    ids=["line", "facets", "singletons", "pairs"],
+)
+def test_hostile_facet_file_is_input_error_within_a_second(tmp_path, make_input, limit):
+    path = make_input(tmp_path)
+    proc, elapsed = _run_capped(["-m", "simplets", "exact", "--m", "3", "--input", str(path)])
     assert proc.returncode == 3, proc.stderr
-    assert proc.stdout == "" and proc.stderr.startswith("input error:") and "edges" in proc.stderr
+    assert proc.stdout == "" and proc.stderr.startswith("input error:") and limit in proc.stderr
+    assert elapsed < 1.0
+
+
+def test_build_complex_over_the_vertex_limit_is_input_error_within_a_second():
+    script = (
+        "import sys\n"
+        "from simplets import InputError, build_complex\n"
+        "try:\n"
+        "    build_complex([(0, 1)], 10**7)\n"
+        "except InputError as exc:\n"
+        "    sys.exit(f'input error: {exc}')\n"
+    )
+    proc, elapsed = _run_capped(["-c", script])
+    assert proc.returncode == 1 and proc.stderr.startswith("input error:"), proc.stderr
+    assert "vertex_count 10000000 is over" in proc.stderr
     assert elapsed < 1.0

@@ -327,10 +327,44 @@ def test_decode_mask_equals_the_layout_scan_for_every_catalog_key():
         assert complexes.decode_mask(k, mask) == scan
 
 
-@pytest.mark.parametrize("mask", [-1, 1 << 11])
+@pytest.mark.parametrize("mask", [-1, 1 << 11, 1.5])
 def test_decode_mask_rejects_a_mask_outside_the_layout(mask):
     with pytest.raises(InputError):
         complexes.decode_mask(4, mask)  # 11 subsets with at least two vertices
+
+
+def _random_candidates(rng, n):
+    """Candidate facets on ``n`` vertices: random sets, some of their faces,
+    repeats of both, and a few isolated vertices as singletons."""
+    isolated = rng.sample(range(n), 2)
+    rest = [v for v in range(n) if v not in isolated]
+    sets = [rng.sample(rest, rng.randint(1, min(5, len(rest)))) for _ in range(rng.randint(1, 8))]
+    faces = [rng.sample(s, rng.randint(1, len(s))) for s in sets for _ in range(2)]
+    candidates = sets + faces + rng.sample(sets + faces, 3) + [[v] for v in isolated]
+    rng.shuffle(candidates)
+    return candidates
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_build_complex_matches_the_brute_force_tables(seed):
+    rng = random.Random(seed)
+    n = rng.randint(4, 12)
+    candidates = _random_candidates(rng, n)
+    facets, incidence, adjacency = oracles.built_tables(candidates, n)
+    complex_ = build_complex(candidates, n)
+    assert list(complex_.facets) == facets
+    assert list(complex_._incidence) == incidence
+    assert list(complex_.adjacency) == adjacency
+    assert complex_.max_degree == max(map(len, adjacency))
+
+
+def test_build_complex_limits_the_vertices(monkeypatch):
+    with pytest.raises(InputError, match="vertex_count"):
+        build_complex([(0, 1)], complexes.MAX_VERTICES + 1)
+    monkeypatch.setattr(complexes, "MAX_VERTICES", 3)
+    assert build_complex([(0, 1)], 3).vertex_count == 3
+    with pytest.raises(InputError, match="vertex_count 4 is over 3"):
+        build_complex([(0, 1)], 4)
 
 
 def test_build_complex_limits_the_implied_edges(monkeypatch):

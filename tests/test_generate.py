@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 from math import comb
 
@@ -14,6 +15,7 @@ from simplets import (
     generate,
     largest_connected_restriction,
 )
+from simplets.complexes import MAX_VERTICES
 
 from . import oracles
 
@@ -49,6 +51,12 @@ def test_spec_takes_the_vertex_count_as_an_integer():
         GenSpec("flag", True, 0.2)
     spec = GenSpec("flag", np.int64(10), 0.2)
     assert type(spec.n) is int and generate(spec).vertex_count == 10
+
+
+def test_spec_rejects_more_vertices_than_a_complex_may_have():
+    assert GenSpec("flag", MAX_VERTICES, 0.0).n == MAX_VERTICES
+    with pytest.raises(InputError, match=f"at most {MAX_VERTICES} vertices"):
+        GenSpec("flag", MAX_VERTICES + 1, 0.0)
 
 
 @pytest.mark.parametrize("seed", [None, [1], 1.5])
@@ -139,6 +147,12 @@ def test_restriction_picks_larger_component():
     assert sorted(tuple(sorted(f)) for f in restricted.facets) == [(0, 1), (1, 2)]
 
 
+def _tables(complex_):
+    """Every table the constructor fills, each set in its iteration order."""
+    tables = (complex_.facets, complex_._incidence, complex_.adjacency)
+    return (complex_.vertex_count, complex_.max_degree, *([tuple(s) for s in t] for t in tables))
+
+
 @pytest.mark.parametrize("model, n", [("flag", 200), ("lm", 300)])
 @pytest.mark.parametrize("seed", range(4))
 def test_restriction_equals_a_build_of_the_relabelled_facets(model, n, seed):
@@ -152,10 +166,34 @@ def test_restriction_equals_a_build_of_the_relabelled_facets(model, n, seed):
         [[relabel[v] for v in facet] for facet in complex_.facets if facet <= relabel.keys()],
         len(original),
     )
-    assert restricted.vertex_count == built.vertex_count
-    assert [tuple(f) for f in restricted.facets] == [tuple(f) for f in built.facets]
-    assert restricted.adjacency == built.adjacency
+    assert _tables(restricted) == _tables(built)
     assert restricted.edges() == built.edges()
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_restriction_of_a_random_disconnected_complex_equals_a_build(seed):
+    # random facets inside blocks of a shuffled vertex set, so that the
+    # components interleave in id order; some facets nest or repeat
+    rng = random.Random(seed)
+    n = rng.randint(6, 30)
+    ids = list(range(n))
+    rng.shuffle(ids)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(1, 3)))
+    blocks = [ids[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+    candidates = [[v] for v in ids]
+    for block in blocks:
+        for _ in range(rng.randint(1, 2 * len(block))):
+            candidates.append(rng.sample(block, rng.randint(1, min(4, len(block)))))
+    candidates += rng.sample(candidates, 5) + [rng.sample(max(blocks, key=len), 2)]
+    complex_ = build_complex(candidates, n)
+    assert len(connected_components(complex_)) > 1
+    restricted, original = largest_connected_restriction(complex_)
+    relabel = {old: new for new, old in enumerate(original)}
+    built = build_complex(
+        [[relabel[v] for v in facet] for facet in complex_.facets if facet <= relabel.keys()],
+        len(original),
+    )
+    assert _tables(restricted) == _tables(built)
 
 
 def test_restriction_requires_edges():

@@ -13,6 +13,7 @@ from simplets import (
     read_facets,
     write_facets,
 )
+from simplets.complexes import MAX_VERTICES
 
 
 def test_read_with_comments_blanks_and_labels():
@@ -131,3 +132,18 @@ def test_write_rejects_labels_that_do_not_read_back(tmp_path, labels, bad):
     with pytest.raises(InputError):
         write_facets(path, complex_, labels)
     assert not path.exists()
+
+
+def test_write_to_an_unwritable_path_is_input_error(tmp_path):
+    complex_ = build_complex([(0, 1), (1, 2)], 3)
+    with pytest.raises(InputError, match="cannot write facet file"):
+        write_facets(tmp_path, complex_)  # a directory
+    with pytest.raises(InputError, match="cannot write facet file"):
+        write_facets(tmp_path / "missing" / "facets.txt", complex_)
+
+
+def test_read_stops_past_the_vertex_limit():
+    lines = [f"v{i}\n" for i in range(MAX_VERTICES)]
+    assert len(read_facets(lines).labels) == MAX_VERTICES
+    with pytest.raises(InputError, match=f"line {MAX_VERTICES + 1}: more than {MAX_VERTICES} vertex labels"):
+        read_facets(lines + ["v0 extra\n"])

@@ -259,6 +259,19 @@ def test_burn_in_formula(filled_triangle, path4):
     assert burn_in_steps(filled_triangle, 1e-9) == 1
 
 
+@pytest.mark.parametrize("diameter, message", [
+    (-3, "nonnegative"), ("3", "non-integer diameter"), (1.5, "non-integer diameter"),
+])
+def test_burn_in_rejects_a_diameter_that_is_not_a_nonnegative_integer(path4, diameter, message):
+    with pytest.raises(InputError, match=message):
+        burn_in_steps(path4, 1.0, diameter=diameter)
+
+
+def test_burn_in_takes_the_diameter_as_an_integer(path4):
+    assert burn_in_steps(path4, 1.0, diameter=np.int64(3)) == burn_in_steps(path4, 1.0) == 25
+    assert burn_in_steps(path4, 1.0, diameter=0) == 1
+
+
 def test_burn_in_disconnected():
     with pytest.raises(StructuralError):
         burn_in_steps(build_complex([{0, 1}, {2, 3}], 4), 1.0)
