@@ -24,7 +24,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import permutations
 
-from .complexes import Simplet, _index, decode_mask, simplex_layout
+from .complexes import Simplet, _index, _positions, decode_mask, simplex_layout
 from .errors import InputError, IntegrityError
 from .record import Record
 
@@ -75,16 +75,8 @@ def _tables(k: int) -> dict[tuple[int, ...], tuple[int, ...]]:
     return tables
 
 
-def _bits(mask: int) -> list[int]:
-    return [b for b in range(mask.bit_length()) if mask >> b & 1]
-
-
-# The set bits of every vertex bitmask of up to MAX_CATALOG_VERTICES vertices.
-_BITS = tuple(tuple(_bits(cell)) for cell in range(1 << MAX_CATALOG_VERTICES))
-
-
 def _max_mask(tables: Iterable[Sequence[int]], mask: int) -> int:
-    bits = _bits(mask)
+    bits = _positions(mask)
     return max(sum(map(table.__getitem__, bits)) for table in tables)
 
 
@@ -118,7 +110,7 @@ def _edge_maximal_orders(k: int, rows: Sequence[int]) -> list[tuple[int, ...]]:
         picks: list[tuple[tuple[int, ...], list[int], int]] = []
         for order, cells in level:
             first, rest = cells[0], cells[1:]
-            for v in _BITS[first]:
+            for v in _positions(first):
                 row = rows[v]
                 counts = ((first & row).bit_count(), *[(c & row).bit_count() for c in rest])
                 if counts > best:

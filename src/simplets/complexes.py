@@ -237,6 +237,14 @@ def decode_mask(k: int, mask: int) -> tuple[tuple[int, ...], ...]:
     return tuple(compress(subsets, format(mask, digits).encode().translate(_DIGIT_BITS)))
 
 
+@functools.lru_cache(maxsize=64)
+def _positions(mask: int) -> tuple[int, ...]:
+    """The set bits of ``mask``, lowest first.  The walk asks only for vertex
+    bitmasks of up to six vertices, which the 64 kept results cover; the
+    catalog's wide simplex masks pass through without growing the cache."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 DiameterEstimate = namedtuple("DiameterEstimate", "value")
 
 # The most edges that build_complex's candidates may imply, summing
@@ -273,7 +281,7 @@ def build_complex(facet_list: Iterable[Iterable[int]], vertex_count: int) -> Sim
     implied = 0
     for entry in facet_list:
         try:
-            facet = frozenset(operator.index(v) for v in entry)
+            facet = frozenset(map(operator.index, entry))
         except TypeError as exc:
             raise InputError(f"non-integer vertex id in facet {entry!r}") from exc
         if not facet:
@@ -285,7 +293,11 @@ def build_complex(facet_list: Iterable[Iterable[int]], vertex_count: int) -> Sim
             if not (0 <= v < vertex_count):
                 raise InputError(f"vertex id {v} out of range [0, {vertex_count})")
         candidates.add(facet)
-    return SimplicialComplex(vertex_count, sorted(candidates, key=lambda f: (-len(f), *sorted(f))))
+    # largest first, then by sorted vertices: two passes of a stable sort
+    ordered = sorted(candidates, key=sorted)
+    del candidates  # its table goes before the constructor's tables come
+    ordered.sort(key=len, reverse=True)
+    return SimplicialComplex(vertex_count, ordered)
 
 
 def induced_subcomplex(complex_: SimplicialComplex, vertices: Iterable[int]) -> Simplet | None:

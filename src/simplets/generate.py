@@ -58,21 +58,14 @@ def _base_graph(spec: GenSpec, rng: random.Random):
     return adjacency, edges
 
 
-def _triangles(adjacency, edges) -> list[tuple[int, int, int]]:
+def _cofaces(adjacency, cliques) -> list[tuple[int, ...]]:
+    """Each clique extended by every common neighbour of its vertices above
+    its last one: in clique order, then in the order of the new vertex."""
     out = []
-    for u, v in edges:
-        for w in sorted(adjacency[u] & adjacency[v]):
-            if w > v:
-                out.append((u, v, w))
-    return out
-
-
-def _tetrahedra(adjacency, triangles) -> list[tuple[int, int, int, int]]:
-    out = []
-    for u, v, w in triangles:
-        for x in sorted(adjacency[u] & adjacency[v] & adjacency[w]):
-            if x > w:
-                out.append((u, v, w, x))
+    for clique in cliques:
+        for x in sorted(set.intersection(*[adjacency[v] for v in clique])):
+            if x > clique[-1]:
+                out.append((*clique, x))
     return out
 
 
@@ -84,17 +77,17 @@ def generate(spec: GenSpec) -> SimplicialComplex:
     """
     rng = random.Random(spec.seed)
     adjacency, edges = _base_graph(spec, rng)
-    triangles = _triangles(adjacency, edges)
+    triangles = _cofaces(adjacency, edges)
 
     if spec.model == "flag":
         filled_tris = triangles
-        filled_tets = _tetrahedra(adjacency, triangles)
+        filled_tets = _cofaces(adjacency, triangles)
     else:
         filled_tris = [t for t in triangles if rng.random() < spec.p_tri]
         filled_set = set(filled_tris)
         filled_tets = [
             quad
-            for quad in _tetrahedra(adjacency, triangles)
+            for quad in _cofaces(adjacency, triangles)
             if all(f in filled_set for f in combinations(quad, 3))
             and rng.random() < spec.p_tet
         ]

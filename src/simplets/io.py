@@ -14,13 +14,20 @@ from collections import namedtuple
 from collections.abc import Iterable
 from io import TextIOBase
 
-from .complexes import _WITHIN_1GB, MAX_VERTICES, SimplicialComplex, build_complex
+from .complexes import (
+    _WITHIN_1GB, MAX_IMPLIED_EDGES, MAX_VERTICES, SimplicialComplex, build_complex,
+)
 from .errors import InputError
 
 __all__ = ["ParsedFacets", "read_facets", "load_complex", "write_facets"]
 
 # The facets as vertex-id tuples, and the labels in vertex-id order.
 ParsedFacets = namedtuple("ParsedFacets", "facets labels")
+
+# Each line of two or more labels implies an edge, and distinct one-label
+# lines are bounded by the vertex limit, so only a file that repeats a
+# one-label line can have more facet lines than this.
+_MAX_FACET_LINES = MAX_IMPLIED_EDGES + MAX_VERTICES
 
 
 def _lines(source: str | os.PathLike | Iterable[str]) -> Iterable[str]:
@@ -44,16 +51,20 @@ def _lines(source: str | os.PathLike | Iterable[str]) -> Iterable[str]:
 def read_facets(source: str | os.PathLike | Iterable[str]) -> ParsedFacets:
     """Parse a facet file into integer facets plus the label table.
 
-    A file with more than ``MAX_VERTICES`` distinct labels raises InputError
-    as soon as the label past the limit is read.
+    A file with more than ``MAX_VERTICES`` distinct labels, or more than
+    ``MAX_IMPLIED_EDGES + MAX_VERTICES`` facet lines, raises InputError as
+    soon as the label or line past the limit is read.
     """
     ids: dict[str, int] = {}
     facets: list[tuple[int, ...]] = []
     for lineno, raw in enumerate(_lines(source), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0][0] == "#":
             continue
-        tokens = line.split()
+        if len(facets) == _MAX_FACET_LINES:
+            raise InputError(
+                f"line {lineno}: more than {_MAX_FACET_LINES} facet lines, {_WITHIN_1GB}"
+            )
         facet = []
         for token in tokens:
             if token not in ids:

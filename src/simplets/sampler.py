@@ -31,7 +31,7 @@ import sys
 from collections.abc import Sequence
 from itertools import combinations
 
-from .complexes import Simplet, SimplicialComplex, _index, _real, skeleton_diameter
+from .complexes import Simplet, SimplicialComplex, _index, _positions, _real, skeleton_diameter
 from .errors import InputError, IntegrityError, StructuralError
 from .record import Record
 
@@ -106,12 +106,6 @@ def _shape(k: int, key: int) -> tuple:
         elif k > 2:
             removable |= 1 << u
     return _positions(removable), tuple(cuts)
-
-
-@functools.cache
-def _positions(mask: int) -> tuple[int, ...]:
-    """The set bits of ``mask``, lowest first; kept for the masks met."""
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 @functools.cache

@@ -25,13 +25,12 @@ from simplets.catalog import (
     MAX_CATALOG_VERTICES,
     SimpletCatalog,
     SimpletTypeKey,
-    _bits,
     _edges,
     _key,
     _max_mask,
     _tables,
 )
-from simplets.complexes import simplex_layout
+from simplets.complexes import _positions, simplex_layout
 
 from .oracles import skeleton_connected
 
@@ -66,7 +65,7 @@ def _connected_graph_classes(k: int) -> list[int]:
 
 def _stabilizer(tables: Iterable[Sequence[int]], mask: int) -> list[Sequence[int]]:
     """The relabelings, as weight tables, that map the mask onto itself."""
-    bits = _bits(mask)
+    bits = _positions(mask)
     return [table for table in tables if sum(map(table.__getitem__, bits)) == mask]
 
 

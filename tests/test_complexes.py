@@ -73,6 +73,18 @@ def test_duplicate_facets_deduplicated():
     assert complex_.facets == (frozenset({0, 1}),)
 
 
+def test_two_vertex_candidates_kept_only_outside_kept_facets():
+    # repeated edges, edges inside the kept triangles, and edges of neither
+    candidates = [
+        (1, 2), (4, 5), (0, 1), (5, 4), (2, 3), (0, 1, 2), (3, 6), (0, 2), (1, 2),
+        (7, 8), (2, 3, 4), (3, 4), (6, 3), (8, 7),
+    ]
+    complex_ = build_complex(candidates, 9)
+    assert complex_.facets == tuple(map(frozenset, [
+        (0, 1, 2), (2, 3, 4), (3, 6), (4, 5), (7, 8),
+    ]))
+
+
 @pytest.mark.parametrize(
     "facets, n",
     [([{0, 5}], 3), ([set()], 3), ([{-1, 0}], 3), ([{0, 1.5}], 3)],
@@ -325,6 +337,13 @@ def test_decode_mask_equals_the_layout_scan_for_every_catalog_key():
     for k, mask in keys:
         scan = tuple(s for s, weight, _ in complexes.simplex_layout(k) if mask & weight)
         assert complexes.decode_mask(k, mask) == scan
+
+
+def test_positions_are_the_set_bits():
+    rng = random.Random(0)
+    masks = [*range(1 << 12), *(rng.getrandbits(200) for _ in range(200))]
+    for mask in masks:
+        assert complexes._positions(mask) == tuple(i for i in range(200) if mask & (1 << i))
 
 
 @pytest.mark.parametrize("mask", [-1, 1 << 11, 1.5])

@@ -16,6 +16,7 @@ from simplets import (
     largest_connected_restriction,
 )
 from simplets.complexes import MAX_VERTICES
+from simplets.generate import _cofaces
 
 from . import oracles
 
@@ -73,6 +74,26 @@ def test_integer_seeds_give_the_same_complex():
         assert type(spec.seed) is int
         complex_ = largest_connected_restriction(generate(spec)).complex
         assert sorted(map(sorted, complex_.facets)) == facets
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cofaces_are_the_cliques_in_lexicographic_order(seed):
+    rng = random.Random(seed)
+    n = rng.randint(4, 30)
+    p = rng.uniform(0.1, 0.6)
+    edges = [e for e in combinations(range(n), 2) if rng.random() < p]
+    adjacency = [set() for _ in range(n)]
+    for u, v in edges:
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+
+    def cliques(size):
+        return [c for c in combinations(range(n), size)
+                if all(v in adjacency[u] for u, v in combinations(c, 2))]
+
+    triangles = _cofaces(adjacency, edges)
+    assert triangles == cliques(3)
+    assert _cofaces(adjacency, triangles) == cliques(4)
 
 
 def test_flag_complete(catalog4):

@@ -1,4 +1,5 @@
 import io
+from itertools import chain, repeat
 
 import pytest
 
@@ -13,7 +14,7 @@ from simplets import (
     read_facets,
     write_facets,
 )
-from simplets.complexes import MAX_VERTICES
+from simplets.complexes import MAX_IMPLIED_EDGES, MAX_VERTICES
 
 
 def test_read_with_comments_blanks_and_labels():
@@ -147,3 +148,11 @@ def test_read_stops_past_the_vertex_limit():
     assert len(read_facets(lines).labels) == MAX_VERTICES
     with pytest.raises(InputError, match=f"line {MAX_VERTICES + 1}: more than {MAX_VERTICES} vertex labels"):
         read_facets(lines + ["v0 extra\n"])
+
+
+def test_read_stops_past_the_facet_line_limit():
+    # only repeated one-label lines reach it; comments and blanks do not count
+    limit = MAX_IMPLIED_EDGES + MAX_VERTICES
+    lines = chain(["# header\n", "\n"], repeat("a\n", limit + 1))
+    with pytest.raises(InputError, match=f"line {limit + 3}: more than {limit} facet lines"):
+        read_facets(lines)
