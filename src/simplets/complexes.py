@@ -54,13 +54,13 @@ def _real(value, what: str):
 class SimplicialComplex:
     """Immutable simplicial complex over dense vertex ids ``[0, n)``.
 
-    Construct through :func:`build_complex`.  The constructor itself takes
+    Outside input goes through :func:`build_complex`.  The constructor takes
     candidate facets: non-empty frozensets of ids in ``[0, n)``, each before
     its proper subsets (largest first does this).  It keeps a candidate as the
     next facet unless an earlier kept facet contains it, so faces and repeats
     of kept facets drop out, and it fills the facet incidence and the
-    adjacency in that one pass; it checks nothing else.
-    ``largest_connected_restriction`` hands it facets already in this order.
+    adjacency in that one pass; it checks nothing else.  ``generate`` and
+    ``largest_connected_restriction`` hand it candidates already in order.
     Instances are safe for concurrent read access.  ``_diameter`` memoises
     :func:`skeleton_diameter`, and ``_bits`` :meth:`_adjacency_bits`.  Every
     connectivity query on the 1-skeleton runs one component search,
@@ -264,13 +264,13 @@ _WITHIN_1GB = "more than this tool loads within about 1 GB"
 def build_complex(facet_list: Iterable[Iterable[int]], vertex_count: int) -> SimplicialComplex:
     """Build a complex from candidate facets, dropping duplicates and non-maximal entries.
 
-    Every vertex id must lie in ``[0, vertex_count)`` and every facet must be
-    non-empty.  This checks the entries, drops repeats and sorts the rest
-    largest first, then by sorted vertices; the :class:`SimplicialComplex`
-    constructor drops each entry that a kept one contains, so the stored
-    facets form an antichain.  More than ``MAX_VERTICES`` vertices, or entries
-    implying more than ``MAX_IMPLIED_EDGES`` edges in all, raise InputError
-    before anything is built.
+    The gate for facet files and library callers: every vertex id must lie in
+    ``[0, vertex_count)`` and every facet must be non-empty.  This checks the
+    entries, drops repeats and sorts the rest largest first, then by sorted
+    vertices; the :class:`SimplicialComplex` constructor drops each entry that
+    a kept one contains, so the stored facets form an antichain.  More than
+    ``MAX_VERTICES`` vertices, or entries implying more than
+    ``MAX_IMPLIED_EDGES`` edges in all, raise InputError before anything is built.
     """
     vertex_count = _index(vertex_count, "vertex_count")
     if vertex_count < 0:

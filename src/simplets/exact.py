@@ -1,17 +1,17 @@
 """Exact simplet enumeration and the exact SFD vector.
 
-One recursion, ``_esu``, walks the connected vertex sets of the 1-skeleton
-using extension candidates restricted to ids above the root vertex, so every
-connected subset appears exactly once without a global seen-set (the ESU
-scheme of Wernicke, TCBB 2006).  It carries each subset's simplex mask, over
-the positions in insertion order, from parent to child: adding a vertex tests
-only the simplices that end at its position and whose other vertices it
-neighbours.  The last level is tallied in its parent's loop rather than
-recursed into, and the leaves that attach only to the newest vertex count as
-one.  The recursion tallies the subsets per ``(size, mask)``, so exact
-counting classifies each distinct position-labelled mask once instead of each
-subset, straight from the mask; enumeration collects the subsets root by
-root.
+The counting recursion, ``_esu``, walks the connected vertex sets of the
+1-skeleton using extension candidates restricted to ids above the root
+vertex, so every connected subset appears once without a global seen-set
+(the ESU scheme of Wernicke, TCBB 2006).  It carries each subset's simplex
+mask, over the positions in insertion order, from parent to child: adding a
+vertex tests only the simplices that end at its position and whose other
+vertices it neighbours.  The last level is tallied in its parent's loop
+rather than recursed into, and the leaves that attach only to the newest
+vertex count as one.  The recursion tallies the subsets per ``(size,
+mask)``, so exact counting classifies each distinct position-labelled mask
+once instead of each subset, straight from the mask.  Enumeration is a
+plain generator with the same extension rule and no masks.
 """
 
 from __future__ import annotations
@@ -95,19 +95,13 @@ def _attach_table(m: int) -> tuple[tuple[tuple[int, tuple], ...], ...]:
     )
 
 
-def _esu(
-    complex_: SimplicialComplex,
-    m: int,
-    roots: Iterable[int],
-    found: list[tuple[int, ...]] | None = None,
-) -> list[dict[int, int]]:
-    """Tally every connected vertex set of size 2..m whose least vertex is in ``roots``.
+def _esu(complex_: SimplicialComplex, m: int) -> list[dict[int, int]]:
+    """Tally every connected vertex set of size 2..m per simplex mask.
 
     A set of size k found in insertion order ``sub`` has the simplex mask of
     the position-labelled ``sub`` under ``simplex_layout(m)``, which sets only
     bits of subsets of ``range(k)``.  Returns ``tallies``, where
-    ``tallies[k]`` counts the k-sets per mask.  ``found``, when given,
-    collects every set as a sorted tuple.
+    ``tallies[k]`` counts the k-sets per mask.
 
     Each extension candidate carries its attach pattern over ``sub`` (bit p
     set when it neighbours position p), kept up to date as ``sub`` grows.
@@ -156,8 +150,6 @@ def _esu(
                     new_mask |= weight
             tally[new_mask] = tally.get(new_mask, 0) + 1
             child = sub + (w,)
-            if found is not None:
-                found.append(tuple(sorted(child)))
             nbrs = adj[w]
             fresh = [u for u in nbrs if u > root and u not in closed]
             rest = ext[i + 1 :]
@@ -184,17 +176,13 @@ def _esu(
             if fresh:
                 leaf_mask = new_mask | fresh_edges
                 leaves[leaf_mask] = leaves.get(leaf_mask, 0) + len(fresh)
-            if found is not None:
-                found.extend(tuple(sorted(child + (u,))) for u in rest + fresh)
 
-    for root in roots:
+    for root in range(complex_.vertex_count):
         ext0 = sorted(u for u in adj[root] if u > root)
         if not ext0:
             continue
         if m == 2:  # the root is the parent: its edge weighs 1 under simplex_layout(2)
             leaves[1] = leaves.get(1, 0) + len(ext0)
-            if found is not None:
-                found.extend((root, u) for u in ext0)
         else:
             extend(root, (root,), 0, ext0, [1] * len(ext0), adj[root] | {root})
     return tallies
@@ -205,18 +193,29 @@ def enumerate_connected_subsets(
 ) -> Iterator[tuple[int, ...]]:
     """Yield every vertex set of size 2..m whose induced skeleton is connected.
 
-    Each subset is produced exactly once, as a sorted tuple, root by root in
-    increasing order of its least vertex.  Within a root the order follows
-    the adjacency sets' iteration order, so it may differ between copies of a
-    complex; the set of subsets, and hence every count, does not.
+    Each subset is produced exactly once, as a sorted tuple, as soon as
+    ``_esu``'s extension rule grows it: root by root in increasing order of
+    its least vertex, each set before its own extensions.  Within a root the
+    order follows the adjacency sets' iteration order, so it may differ between
+    copies of a complex; the set of subsets, and hence every count, does not.
     """
     m = _index(m, "m")
     if m < 2:
         raise InputError(f"m must be at least 2, got {m}")
+    adj = complex_.adjacency
+
+    def extend(root, sub, ext, closed):
+        for i, w in enumerate(ext):
+            child = sub + (w,)
+            yield tuple(sorted(child))
+            if len(child) < m:
+                nbrs = adj[w]
+                fresh = [u for u in nbrs if u > root and u not in closed]
+                yield from extend(root, child, ext[i + 1 :] + fresh, closed | nbrs)
+
     for root in range(complex_.vertex_count):
-        found: list[tuple[int, ...]] = []
-        _esu(complex_, m, (root,), found)
-        yield from found
+        ext0 = sorted(u for u in adj[root] if u > root)
+        yield from extend(root, (root,), ext0, adj[root] | {root})
 
 
 def exact_counts(complex_: SimplicialComplex, catalog: SimpletCatalog) -> SFDVector:
@@ -230,7 +229,7 @@ def exact_counts(complex_: SimplicialComplex, catalog: SimpletCatalog) -> SFDVec
     maps the result to its type.
     """
     m = catalog.m
-    tallies = _esu(complex_, m, range(complex_.vertex_count))
+    tallies = _esu(complex_, m)
     weight = {s: w for s, w, _ in simplex_layout(m)}
     counts = [0] * len(catalog)
     for size in range(2, m + 1):

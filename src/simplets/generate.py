@@ -12,9 +12,7 @@ import random
 from collections import namedtuple
 from itertools import combinations
 
-from .complexes import (
-    MAX_VERTICES, SimplicialComplex, _index, _real, build_complex, connected_components,
-)
+from .complexes import MAX_VERTICES, SimplicialComplex, _index, _real, connected_components
 from .errors import InputError, StructuralError
 from .record import Record
 
@@ -72,8 +70,9 @@ def _cofaces(adjacency, cliques) -> list[tuple[int, ...]]:
 def generate(spec: GenSpec) -> SimplicialComplex:
     """Generate a complex; deterministic for a fixed spec (seed included).
 
-    Isolated vertices are kept as singleton facets so the vertex count
-    survives facet-file round trips.
+    The candidates go straight to the constructor, already in its order, so only
+    ``GenSpec``'s bound on ``n`` limits them.  Isolated vertices are kept as
+    singleton facets so the vertex count survives facet-file round trips.
     """
     rng = random.Random(spec.seed)
     adjacency, edges = _base_graph(spec, rng)
@@ -92,10 +91,10 @@ def generate(spec: GenSpec) -> SimplicialComplex:
             and rng.random() < spec.p_tet
         ]
 
-    # build_complex drops the faces of larger entries
+    # largest first, lexicographic within a size: the constructor drops the faces
     facets = [*filled_tets, *filled_tris, *edges]
     facets.extend((v,) for v in range(spec.n) if not adjacency[v])
-    return build_complex(facets, spec.n)
+    return SimplicialComplex(spec.n, map(frozenset, facets))
 
 
 RestrictionResult = namedtuple("RestrictionResult", "complex original_vertices")

@@ -230,6 +230,19 @@ def test_sizes_that_are_not_integers_are_rejected(call, named):
         call()
 
 
+@pytest.mark.parametrize("vertex_count, simplices, named", [
+    (1, [], "at least two vertices"),
+    (7, [(0, 1)], "at most 6 vertices"),
+    (3, [(0, 3)], "not a set of at least two distinct labels"),
+    (3, [(-1, 0)], "not a set of at least two distinct labels"),
+    (3, [(1,)], "not a set of at least two distinct labels"),
+    (3, [(1, 1)], "not a set of at least two distinct labels"),
+])
+def test_canonical_form_rejects_bad_sizes_and_labels(vertex_count, simplices, named):
+    with pytest.raises(InputError, match=named):
+        canonical_form(vertex_count, simplices)
+
+
 def test_catalog_keys_unique_and_ordered(catalog5):
     keys = catalog5.keys
     assert len(set(keys)) == len(keys)
@@ -258,7 +271,8 @@ def test_catalog_generation_deterministic(catalog4):
 def test_index_of_roundtrip(catalog4):
     edge_key = canonical_form(2, [(0, 1)])
     assert catalog4.index_of(edge_key) == 0
-    for i, key in enumerate(catalog4.keys):
+    assert list(catalog4) == list(catalog4.keys)
+    for i, key in enumerate(catalog4):
         assert catalog4.index_of(key) == i
 
 

@@ -97,6 +97,8 @@ def test_build_rejects_bad_input(facets, n):
 def test_build_takes_the_vertex_count_as_an_integer():
     with pytest.raises(InputError, match="non-integer vertex_count"):
         build_complex([[0, 1]], 2.0)
+    with pytest.raises(InputError, match="vertex_count must be nonnegative"):
+        build_complex([(0,)], -1)
     complex_ = build_complex([[0, 1]], np.int64(3))
     assert type(complex_.vertex_count) is int and complex_.vertex_count == 3
 
@@ -139,6 +141,7 @@ def test_induced_subcomplex_edge(filled_triangle):
     simplet = induced_subcomplex(filled_triangle, {0, 1})
     assert simplet.vertices == (0, 1)
     assert simplet.simplices() == ((0, 1),)
+    assert len(simplet) == len(simplet.vertices) == 2
 
 
 def test_induced_subcomplex_disconnected_returns_none(path3):

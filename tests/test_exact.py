@@ -58,11 +58,28 @@ def test_enumeration_matches_naive_and_is_duplicate_free():
             assert sorted(fast) == sorted(oracles.all_connected_subsets(complex_, m))
 
 
+@pytest.mark.parametrize("m", range(2, 6))
+def test_enumeration_agrees_with_the_tally(m):
+    # two separate recursions: the enumerator yields as many sets of each
+    # size as _esu tallies, root by root in increasing order of least vertex
+    exact_m5_input = generate(GenSpec("flag", 30, 8 / 29, seed=24))
+    for complex_ in random_complexes(10, seed=205) + [exact_m5_input]:
+        tallies = exact_module._esu(complex_, m)
+        sizes = [0] * (m + 1)
+        least = 0
+        for subset in enumerate_connected_subsets(complex_, m):
+            sizes[len(subset)] += 1
+            assert subset[0] >= least
+            least = subset[0]
+        assert sizes[2:] == [sum(tallies[k].values()) for k in range(2, m + 1)]
+
+
 def test_exact_counts_filled_triangle(filled_triangle, catalog4):
     sfd = exact_counts(filled_triangle, catalog4)
     expected = oracles.classify_counts(filled_triangle, catalog4)
     assert list(sfd.counts) == expected
     assert sfd.total == 4
+    assert len(sfd) == len(catalog4)
     nonzero = {i: c for i, c in enumerate(sfd.counts) if c}
     assert sorted(nonzero.values()) == [1, 3]
     assert sorted(f for f in sfd.frequencies if f) == [0.25, 0.75]
@@ -128,7 +145,7 @@ def test_exact_counts_on_dense_lm_complexes(m):
     }
     closes = set()
     for complex_ in dense_lm_complexes():
-        leaves = exact_module._esu(complex_, m, range(complex_.vertex_count))[m]
+        leaves = exact_module._esu(complex_, m)[m]
         closes |= {size for size, bits in closed_at_last.items() if any(k & bits for k in leaves)}
         counts = exact_counts(complex_, catalog).counts
         assert list(counts) == oracles.classify_counts(complex_, catalog)

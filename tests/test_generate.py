@@ -1,3 +1,5 @@
+import importlib
+import io
 import random
 from itertools import combinations
 from math import comb
@@ -14,11 +16,17 @@ from simplets import (
     exact_counts,
     generate,
     largest_connected_restriction,
+    load_complex,
+    write_facets,
 )
+from simplets import complexes
 from simplets.complexes import MAX_VERTICES
 from simplets.generate import _cofaces
 
 from . import oracles
+
+# the package exports the function generate under the module's name
+generate_module = importlib.import_module("simplets.generate")
 
 
 def test_spec_validation():
@@ -172,6 +180,52 @@ def _tables(complex_):
     """Every table the constructor fills, each set in its iteration order."""
     tables = (complex_.facets, complex_._incidence, complex_.adjacency)
     return (complex_.vertex_count, complex_.max_degree, *([tuple(s) for s in t] for t in tables))
+
+
+@pytest.mark.parametrize("spec", [
+    GenSpec("flag", 200, 0.01, seed=5),
+    GenSpec("flag", 200, 0.05, seed=5),
+    GenSpec("flag", 40, 0.6, seed=1),
+    GenSpec("lm", 80, 0.04, seed=3),
+    GenSpec("lm", 80, 0.2, p_tri=0.6, p_tet=0.5, seed=3),
+    GenSpec("lm", 50, 0.25, p_tri=0.7, p_tet=0.7, seed=11),
+])
+def test_generate_equals_a_build_of_its_candidates(monkeypatch, spec):
+    # generate hands the constructor its candidates in the order that
+    # build_complex sorts them into, so the two give the same tables
+    handed = []
+
+    def recording_constructor(n, candidates):
+        handed.extend(candidates)
+        return complexes.SimplicialComplex(n, handed)
+
+    monkeypatch.setattr(generate_module, "SimplicialComplex", recording_constructor)
+    generated = generate(spec)
+    # the generator lists each candidate in increasing order; rebuilt in that
+    # order, the sets iterate as the generator's do
+    assert _tables(generated) == _tables(build_complex(map(sorted, handed), spec.n))
+
+
+def test_generate_builds_what_its_facet_file_loads(monkeypatch):
+    # 3,870 facets over 462 edges imply 23,220 edges; the edge limit guards
+    # facet files, so at that limit gen's output must build and load alike
+    monkeypatch.setattr(complexes, "MAX_IMPLIED_EDGES", 23_220)
+    generated = generate(GenSpec("flag", 40, 0.6, seed=1))
+    assert (generated.edge_count, len(generated.facets)) == (462, 3870)
+    text = io.StringIO()
+    write_facets(text, generated)
+    loaded, labels = load_complex(text.getvalue().splitlines())
+    ids = [int(label) for label in labels]
+
+    def tables(complex_, ids):
+        facets = [frozenset(ids[v] for v in facet) for facet in complex_.facets]
+        return (
+            set(facets),
+            {ids[v]: {ids[u] for u in complex_.adjacency[v]} for v in range(40)},
+            {ids[v]: {facets[i] for i in complex_._incidence[v]} for v in range(40)},
+        )
+
+    assert tables(loaded, ids) == tables(generated, range(40))
 
 
 @pytest.mark.parametrize("model, n", [("flag", 200), ("lm", 300)])
