@@ -16,7 +16,7 @@ from .catalog import SimpletCatalog, TypeClassifier
 from .complexes import Simplet, SimplicialComplex, _real
 from .errors import InputError
 from .exact import SFDVector
-from .sampler import SimpletSampler, WalkConfig, _check_positive
+from .sampler import DEFAULT_C_MIX, SimpletSampler, WalkConfig, _check_positive
 
 __all__ = [
     "DEFAULT_VC_CONSTANT",
@@ -69,7 +69,7 @@ def approximate_sfd(
     delta: float,
     c: float = DEFAULT_VC_CONSTANT,
     seed: int = 0,
-    c_mix: float = 1.0,
+    c_mix: float = DEFAULT_C_MIX,
 ) -> SFDVector:
     """(epsilon, delta)-approximate SFD vector via uniform MCMC simplet sampling.
 

@@ -227,6 +227,11 @@ class SimpletCatalog(Record):
                 "this indicates a canonicalization bug"
             ) from None
 
+    def index_of_mask(self, k: int, mask: int) -> int:
+        """Catalog position of the type of a k-vertex simplex mask under
+        ``simplex_layout(k)``, whatever its vertex labelling."""
+        return self.index_of(_key(k, _canonical_mask(k, mask)))
+
     def to_json_obj(self) -> list[dict]:
         return [
             {"k": key.vertex_count, "simplices": [list(s) for s in key.simplices]}
@@ -282,6 +287,6 @@ class TypeClassifier:
         k, mask = len(simplet.vertices), simplet.mask()
         index = self._cache.get((k, mask))
         if index is None:
-            index = self.catalog.index_of(_key(k, _canonical_mask(k, mask)))
+            index = self.catalog.index_of_mask(k, mask)
             self._cache[k, mask] = index
         return index

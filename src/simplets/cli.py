@@ -25,14 +25,14 @@ import os
 import sys
 import time
 
-from .approx import approximate_sfd, linf_distance, required_samples
+from .approx import DEFAULT_VC_CONSTANT, approximate_sfd, linf_distance, required_samples
 from .catalog import MAX_CATALOG_VERTICES, SimpletCatalog, generate_catalog
 from .complexes import SimplicialComplex, skeleton_diameter
 from .errors import InputError, IntegrityError, StructuralError
 from .exact import exact_counts
 from .generate import GenSpec, generate, largest_connected_restriction
 from .io import load_complex, write_facets
-from .sampler import burn_in_steps
+from .sampler import DEFAULT_C_MIX, burn_in_steps
 
 EXIT_OK = 0
 EXIT_INPUT = 3
@@ -83,8 +83,8 @@ def _add_sampling_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--m", type=int, choices=range(3, MAX_CATALOG_VERTICES + 1), required=True)
     parser.add_argument("--epsilon", type=_open_unit, default=0.1, help="accuracy target in (0,1)")
     parser.add_argument("--delta", type=_open_unit, default=0.1, help="failure probability in (0,1)")
-    parser.add_argument("--c", type=_positive_float, default=0.5, help="sample-bound constant")
-    parser.add_argument("--c-mix", type=_positive_float, default=1.0, help="burn-in scale factor")
+    parser.add_argument("--c", type=_positive_float, default=DEFAULT_VC_CONSTANT, help="sample-bound constant")
+    parser.add_argument("--c-mix", type=_positive_float, default=DEFAULT_C_MIX, help="burn-in scale factor")
     parser.add_argument("--seed", type=int, default=0)
 
 

@@ -59,7 +59,9 @@ class SimplicialComplex:
     its proper subsets (largest first does this).  It keeps a candidate as the
     next facet unless an earlier kept facet contains it, so faces and repeats
     of kept facets drop out, and it fills the facet incidence and the
-    adjacency in that one pass; it checks nothing else.  ``generate`` and
+    adjacency in that one pass; it checks nothing else.  A candidate no
+    smaller than every facet kept so far can only repeat one of them, which a
+    set of the largest kept facets settles.  ``generate`` and
     ``largest_connected_restriction`` hand it candidates already in order.
     Instances are safe for concurrent read access.  ``_diameter`` memoises
     :func:`skeleton_diameter`, and ``_bits`` :meth:`_adjacency_bits`.  Every
@@ -76,14 +78,23 @@ class SimplicialComplex:
         facets = []
         incidence = [set() for _ in range(vertex_count)]
         adjacency = [set() for _ in range(vertex_count)]
+        largest, top = 0, set()  # the largest size kept so far, and its kept facets
         for facet in candidates:
-            # A kept facet holds this candidate iff its vertices' incidences
-            # share an index, which needs the first vertex to neighbour the rest.
-            rest = iter(facet)
-            if adjacency[next(rest)].issuperset(rest) and set.intersection(
-                *[incidence[v] for v in facet]
-            ):
-                continue
+            if len(facet) > largest:
+                largest, top = len(facet), {facet}
+            elif len(facet) == largest:
+                # no kept facet is larger, so only a repeat of a kept one holds it
+                if facet in top:
+                    continue
+                top.add(facet)
+            else:
+                # A kept facet holds this candidate iff its vertices' incidences
+                # share an index, which needs the first vertex to neighbour the rest.
+                rest = iter(facet)
+                if adjacency[next(rest)].issuperset(rest) and set.intersection(
+                    *[incidence[v] for v in facet]
+                ):
+                    continue
             idx = len(facets)  # one int object shared by every vertex
             facets.append(facet)
             for v in facet:
@@ -250,12 +261,12 @@ DiameterEstimate = namedtuple("DiameterEstimate", "value")
 # The most edges that build_complex's candidates may imply, summing
 # C(|facet|, 2) over them, and the most vertices a complex may have, checked
 # before any per-vertex table.  At both limits, loading a file peaked under
-# 1 GB RSS on Python 3.11: 820 MB for 800,000 2-vertex lines plus singleton
-# lines up to 200,000 vertices (the worst shape measured), 658 MB for 800,000
-# edges over 200,000 vertices, 203 MB for 200,000 singleton lines and 177 MB
-# for one facet of 1,265 vertices.  A 110 kB line of 20,000 labels, which
-# would need about 40 GB, fails at once.  Lower bytes per edge or per vertex
-# would let the limits rise.
+# 1 GB RSS on Python 3.11: 819 MB for K_1265 as 799,480 2-vertex lines plus
+# singleton lines up to 200,000 vertices (the worst shape measured), 663 MB
+# for 800,000 random edges over 200,000 vertices, 201 MB for 200,000
+# singleton lines and 174 MB for one facet of 1,265 vertices.  A 110 kB line
+# of 20,000 labels, which would need about 40 GB, fails at once.  Lower bytes
+# per edge or per vertex would let the limits rise.
 MAX_IMPLIED_EDGES = 800_000
 MAX_VERTICES = 200_000
 _WITHIN_1GB = "more than this tool loads within about 1 GB"

@@ -10,8 +10,9 @@ vertices it neighbours.  The last level is tallied in its parent's loop
 rather than recursed into, and the leaves that attach only to the newest
 vertex count as one.  The recursion tallies the subsets per ``(size,
 mask)``, so exact counting classifies each distinct position-labelled mask
-once instead of each subset, straight from the mask.  Enumeration is a
-plain generator with the same extension rule and no masks.
+once instead of each subset, straight from the mask, through
+``SimpletCatalog.index_of_mask``.  Enumeration is a plain generator with the
+same extension rule and no masks.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import functools
 import operator
 from collections.abc import Iterable, Iterator
 
-from .catalog import SimpletCatalog, _canonical_mask, _key
+from .catalog import SimpletCatalog
 from .complexes import SimplicialComplex, _index, simplex_layout
 from .errors import InputError, StructuralError
 from .record import Record
@@ -225,8 +226,8 @@ def exact_counts(complex_: SimplicialComplex, catalog: SimpletCatalog) -> SFDVec
     that share a position-labelled mask share a type, so each distinct
     ``(size, mask)`` is classified once, from the mask alone: its bits move
     from ``simplex_layout(m)`` to ``simplex_layout(size)``, which list the
-    subsets of ``range(size)`` in the same order, and ``_canonical_mask``
-    maps the result to its type.
+    subsets of ``range(size)`` in the same order, and
+    ``SimpletCatalog.index_of_mask`` maps the result to its type.
     """
     m = catalog.m
     tallies = _esu(complex_, m)
@@ -236,7 +237,7 @@ def exact_counts(complex_: SimplicialComplex, catalog: SimpletCatalog) -> SFDVec
         relabel = [(weight[s], w) for s, w, _ in simplex_layout(size)]
         for mask, count in tallies[size].items():
             local = sum(w for w_m, w in relabel if mask & w_m)
-            counts[catalog.index_of(_key(size, _canonical_mask(size, local)))] += count
+            counts[catalog.index_of_mask(size, local)] += count
     if sum(counts) == 0:
         raise StructuralError("complex has no simplets: the 1-skeleton has no edges")
     return SFDVector(m, counts)

@@ -36,6 +36,7 @@ from .errors import InputError, IntegrityError, StructuralError
 from .record import Record
 
 __all__ = [
+    "DEFAULT_C_MIX",
     "WalkConfig",
     "SimpletSampler",
     "state_neighbors",
@@ -45,6 +46,9 @@ __all__ = [
 ]
 
 State = tuple[int, ...]
+
+# The default scale of the burn-in heuristic (``burn_in_steps``).
+DEFAULT_C_MIX = 1.0
 
 # The sampler's memo holds at most this many states.
 _CACHE_CAP = 20_000
@@ -67,7 +71,7 @@ class WalkConfig(Record):
     __slots__ = _compared = _shown = ("m", "burn_in", "c_mix", "rng_seed")
     _arity = 4
 
-    def __init__(self, m: int, burn_in: int | None = None, c_mix: float = 1.0, rng_seed: int = 0):
+    def __init__(self, m: int, burn_in: int | None = None, c_mix: float = DEFAULT_C_MIX, rng_seed: int = 0):
         if type(m) is not int or m < 3:
             raise InputError(f"the sampler requires an integer m >= 3, got m={m!r}")
         if burn_in is not None and (type(burn_in) is not int or burn_in < 1):

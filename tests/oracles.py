@@ -7,11 +7,12 @@ connectivity is a fresh BFS, and type matching is a permutation search.
 
 from __future__ import annotations
 
+import math
 import random
 from itertools import combinations, permutations
 from typing import Iterator
 
-from simplets import SimplicialComplex
+from simplets import SimplicialComplex, enumerate_connected_subsets, state_degree, state_neighbors
 from simplets.complexes import simplex_layout
 
 
@@ -325,3 +326,63 @@ def bit_connected(nb, mask) -> bool:
         seen |= new
         frontier += [j for j in range(len(nb)) if new >> j & 1]
     return seen == mask
+
+
+def exact_output_law(complex_: SimplicialComplex, m: int, steps: int):
+    """The walk's exact law after ``steps`` steps from a uniform edge, as
+    ``(states, law)``: the sorted states of ``enumerate_connected_subsets`` and
+    a numpy vector of their probabilities.
+
+    Row i of the transition matrix puts min(1/d_i, 1/d_j) on each proposal j
+    that ``state_neighbors`` lists, with degrees from ``state_degree``, and the
+    remainder on i.  The matrix is sparse, so unlike the dense
+    ``transition_matrix`` this reaches the criterion-7 complex's 15,099 states.
+    """
+    import numpy as np
+    from scipy import sparse
+
+    states = sorted(enumerate_connected_subsets(complex_, m))
+    position = {s: i for i, s in enumerate(states)}
+    degree = [state_degree(complex_, s, m) for s in states]
+    rows, cols, values = [], [], []
+    for i, state in enumerate(states):
+        for proposal in state_neighbors(complex_, state, m):
+            j = position[proposal]
+            rows.append(i)
+            cols.append(j)
+            values.append(min(1.0 / degree[i], 1.0 / degree[j]))
+    count = len(states)
+    moves = sparse.csr_matrix((values, (rows, cols)), shape=(count, count))
+    loops = np.maximum(0.0, 1.0 - np.asarray(moves.sum(axis=1)).ravel())
+    backward = (moves + sparse.diags(loops)).T.tocsr()
+    edges = complex_.edges()
+    law = np.zeros(count)
+    law[[position[e] for e in edges]] = 1.0 / len(edges)
+    for _ in range(steps):
+        law = backward @ law
+    return states, law
+
+
+def miss_probability(counts, n: int, epsilon: float) -> float:
+    """P(max_t |N_t / n - p_t| > epsilon) for the type counts N_t of ``n``
+    independent draws from the law p proportional to ``counts``.
+
+    Exact up to float rounding: the types are taken in turn, and given the
+    draws not yet placed, a type's share of them is binomial with its mass
+    over the mass still left.
+    """
+    total = left = sum(counts)
+    within = {n: 1.0}  # draws not yet placed -> P(every type so far is within epsilon)
+    for c in counts:
+        if not c:
+            continue
+        p, q = c / total, c / left
+        placed: dict[int, float] = {}
+        for rest, prob in within.items():
+            for k in range(rest + 1):
+                if abs(k / n - p) <= epsilon:
+                    pmf = math.comb(rest, k) * q**k * (1.0 - q) ** (rest - k)
+                    placed[rest - k] = placed.get(rest - k, 0.0) + prob * pmf
+        within = placed
+        left -= c
+    return 1.0 - within.get(0, 0.0)

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 import random
 from decimal import Decimal
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from simplets import (
+    GenSpec,
     InputError,
     SFDVector,
     Simplet,
@@ -16,11 +19,15 @@ from simplets import (
     empirical_sfd,
     enumerate_connected_subsets,
     exact_counts,
+    generate,
+    generate_catalog,
     induced_subcomplex,
     linf_distance,
     required_samples,
 )
 from simplets import approx as approx_module
+
+from . import oracles
 
 
 def test_required_samples_reference_values():
@@ -201,3 +208,43 @@ def test_sample_bound_beyond_any_run_is_rejected():
     # finite, but more samples than a list can hold
     with pytest.raises(InputError, match="more than any run can draw"):
         required_samples(0.4, 0.1, 1e300)
+
+
+def test_miss_probability_matches_enumeration_of_every_draw():
+    counts, epsilon = [3, 0, 2, 1], 0.2
+    total = sum(counts)
+    for n in (1, 2, 3, 4):
+        missed = 0.0
+        for draws in itertools.product(range(len(counts)), repeat=n):
+            if max(abs(draws.count(t) / n - c / total) for t, c in enumerate(counts)) > epsilon:
+                missed += math.prod(counts[t] / total for t in draws)
+        assert oracles.miss_probability(counts, n, epsilon) == pytest.approx(missed, abs=1e-12)
+
+
+@functools.cache
+def _exact_m5_input_at_m6():
+    """The exact SFD vector, at m = 6, of the exact-m5 benchmark input (gen seed 24)."""
+    return exact_counts(generate(GenSpec("flag", 30, 8 / 29, seed=24)), generate_catalog(6))
+
+
+def test_one_sample_misses_on_a_spread_out_sfd():
+    exact = _exact_m5_input_at_m6()
+    assert sum(1 for count in exact.counts if count) == 138
+    assert 0.0704 < max(exact.frequencies) < 0.0705
+    # one draw puts all its mass on one type, at least 1 - 0.0705 from its frequency
+    assert oracles.miss_probability(exact.counts, 1, 0.8) == 1.0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason=(
+        "ROADMAP item 1: required_samples(0.8, 0.8, 0.5) is 1, and on the exact-m5 "
+        "gen-seed-24 input at m = 6 the largest type frequency is 0.0704, so one "
+        "uniform sample misses by more than epsilon with probability 1.0"
+    ),
+)
+def test_paper_count_meets_its_guarantee_at_a_large_epsilon():
+    epsilon, delta = 0.8, 0.8
+    n = required_samples(epsilon, delta)
+    assert oracles.miss_probability(_exact_m5_input_at_m6().counts, n, epsilon) <= delta

@@ -655,3 +655,28 @@ def test_build_complex_over_the_vertex_limit_is_input_error_within_a_second():
     assert proc.returncode == 1 and proc.stderr.startswith("input error:"), proc.stderr
     assert "vertex_count 10000000 is over" in proc.stderr
     assert elapsed < 1.0
+
+
+def test_validate_output_does_not_depend_on_the_start_method():
+    # Python 3.14 makes forkserver the Linux default for ProcessPoolExecutor;
+    # the worker trials must give the same report under every start method
+    argv = ["validate", "--model", "lm", "--n", "50", "--p-edge", "0.25", "--p-tri", "0.7",
+            "--p-tet", "0.7", "--largest-component", "--m", "4", "--epsilon", "0.3",
+            "--delta", "0.1", "--trials", "4", "--threads", "2", "--gen-seed", "11"]
+    script = (
+        "import multiprocessing, sys\n"
+        "from simplets.cli import main\n"
+        "multiprocessing.set_start_method(sys.argv[1])\n"
+        "sys.exit(main(sys.argv[2:]))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    reports = []
+    for method in ("fork", "forkserver", "spawn"):
+        proc = subprocess.run([sys.executable, "-c", script, method, *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, (method, proc.stderr)
+        report = json.loads(proc.stdout)
+        report.pop("timing")
+        reports.append(json.dumps(report))
+    assert reports[1] == reports[0] and reports[2] == reports[0]

@@ -1,4 +1,5 @@
 import copy
+import importlib
 import pickle
 import random
 from itertools import combinations
@@ -28,6 +29,8 @@ from simplets import complexes
 
 from .conftest import random_complexes
 from . import oracles
+
+generate_module = importlib.import_module("simplets.generate")
 
 
 def test_single_filled_triangle_shape(filled_triangle):
@@ -397,3 +400,50 @@ def test_build_complex_limits_the_implied_edges(monkeypatch):
     assert build_complex([(0, 1, 2), (2, 3)], 4).edge_count == 4  # 3 + 1 implied edges
     with pytest.raises(InputError, match="more than 4 edges"):
         build_complex([(0, 1, 2), (2, 3), (1, 3)], 4)
+
+
+def _check_against_brute_force(candidates, n):
+    """The constructor on ``candidates`` as handed keeps the facets that
+    ``oracles.built_tables`` names, with the same incidence and adjacency;
+    incidence is compared by facet, since the constructor keeps the order it
+    is handed and the oracle sorts."""
+    facets, incidence, adjacency = oracles.built_tables(candidates, n)
+    complex_ = complexes.SimplicialComplex(n, map(frozenset, candidates))
+    assert sorted(complex_.facets, key=lambda f: (-len(f), sorted(f))) == facets
+    assert [{complex_.facets[i] for i in s} for s in complex_._incidence] == [
+        {facets[i] for i in s} for s in incidence
+    ]
+    assert list(complex_.adjacency) == adjacency
+    return complex_
+
+
+@pytest.mark.parametrize("spec", [
+    GenSpec("flag", 16, 0.7, seed=2),
+    GenSpec("lm", 16, 0.7, p_tri=0.8, p_tet=0.8, seed=2),
+])
+def test_constructor_matches_the_brute_force_tables_on_dense_candidates(monkeypatch, spec):
+    handed = []
+
+    def recording_constructor(n, candidates):
+        handed.extend(candidates)
+        return complexes.SimplicialComplex(n, handed)
+
+    monkeypatch.setattr(generate_module, "SimplicialComplex", recording_constructor)
+    generate(spec)
+    assert max(map(len, handed)) == 4
+    _check_against_brute_force(handed, spec.n)
+    # repeats of every size, each still before its proper subsets
+    rng = random.Random(spec.seed)
+    repeated = handed + rng.sample(handed, len(handed) // 3)
+    rng.shuffle(repeated)
+    repeated.sort(key=len, reverse=True)
+    _check_against_brute_force(repeated, spec.n)
+
+
+def test_constructor_drops_faces_and_repeats_handed_after_a_larger_facet():
+    # a triangle and its repeat, then an unrelated tetrahedron, then one of its
+    # faces and the triangle again: both of the last lie in a kept facet that
+    # is not of the largest size kept so far when they come
+    candidates = [(0, 1, 2), (0, 1, 2), (3, 4, 5, 6), (3, 4, 5), (0, 1, 2), (5, 6), (2, 3)]
+    complex_ = _check_against_brute_force(candidates, 7)
+    assert complex_.facets == tuple(map(frozenset, [(0, 1, 2), (3, 4, 5, 6), (2, 3)]))

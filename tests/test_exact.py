@@ -15,6 +15,7 @@ from simplets import (
     generate,
     generate_catalog,
 )
+from simplets import catalog as catalog_module
 from simplets import exact as exact_module
 from simplets.complexes import simplex_layout
 
@@ -157,13 +158,13 @@ def test_exact_counts_on_dense_lm_complexes(m):
 def test_exact_counts_classify_once_per_distinct_mask(monkeypatch, catalog5):
     complex_ = generate(GenSpec("flag", 30, 8 / 29, seed=24))
     classified = []
-    canonical_mask = exact_module._canonical_mask
+    canonical_mask = catalog_module._canonical_mask
 
     def counting_canonical_mask(k, mask):
         classified.append(k)
         return canonical_mask(k, mask)
 
-    monkeypatch.setattr(exact_module, "_canonical_mask", counting_canonical_mask)
+    monkeypatch.setattr(catalog_module, "_canonical_mask", counting_canonical_mask)
     sfd = exact_counts(complex_, catalog5)
     # 185 distinct (size, position-labelled mask) keys on this input
     assert len(classified) == 185
