@@ -7,6 +7,7 @@ simplet sampling, and (epsilon, delta)-approximate SFD estimation.
 from .approx import (
     approximate_sfd,
     empirical_sfd,
+    failure_bound,
     linf_distance,
     required_samples,
 )
@@ -66,6 +67,7 @@ __all__ = [
     "empirical_sfd",
     "enumerate_connected_subsets",
     "exact_counts",
+    "failure_bound",
     "generate",
     "generate_catalog",
     "induced_subcomplex",

@@ -25,7 +25,9 @@ import os
 import sys
 import time
 
-from .approx import DEFAULT_VC_CONSTANT, approximate_sfd, linf_distance, required_samples
+from .approx import (
+    DEFAULT_VC_CONSTANT, approximate_sfd, failure_bound, linf_distance, required_samples,
+)
 from .catalog import MAX_CATALOG_VERTICES, SimpletCatalog, generate_catalog
 from .complexes import SimplicialComplex, skeleton_diameter
 from .errors import InputError, IntegrityError, StructuralError
@@ -237,6 +239,7 @@ def cmd_approx(args) -> int:
             "burn_in": burn_in,
             "seed": args.seed,
             "labels": labels,
+            "failure_bound": failure_bound(sfd.total, args.epsilon),
         }
     )
     return EXIT_OK
@@ -344,6 +347,7 @@ def cmd_validate(args) -> int:
             "threshold": threshold,
             "passed": failures / args.trials <= threshold,
             "timing": {"exact_seconds": exact_seconds, "sampling_seconds": sampling_seconds},
+            "failure_bound": failure_bound(samples, args.epsilon),
         }
     )
     return EXIT_OK

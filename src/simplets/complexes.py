@@ -55,14 +55,14 @@ class SimplicialComplex:
     """Immutable simplicial complex over dense vertex ids ``[0, n)``.
 
     Outside input goes through :func:`build_complex`.  The constructor takes
-    candidate facets: non-empty frozensets of ids in ``[0, n)``, each before
-    its proper subsets (largest first does this).  It keeps a candidate as the
-    next facet unless an earlier kept facet contains it, so faces and repeats
-    of kept facets drop out, and it fills the facet incidence and the
-    adjacency in that one pass; it checks nothing else.  A candidate no
-    smaller than every facet kept so far can only repeat one of them, which a
-    set of the largest kept facets settles.  ``generate`` and
-    ``largest_connected_restriction`` hand it candidates already in order.
+    distinct candidate facets: non-empty frozensets of ids in ``[0, n)``, each
+    before its proper subsets (largest first does this).  It keeps a candidate
+    as the next facet unless an earlier kept facet contains it, so faces of
+    kept facets drop out, and it fills the facet incidence and the adjacency
+    in that one pass; it checks nothing else.  Since candidates are distinct,
+    one no smaller than every facet kept so far is kept with no test.
+    ``build_complex`` drops repeats before it sorts; ``generate`` and
+    ``largest_connected_restriction`` hand distinct candidates already in order.
     Instances are safe for concurrent read access.  ``_diameter`` memoises
     :func:`skeleton_diameter`, and ``_bits`` :meth:`_adjacency_bits`.  Every
     connectivity query on the 1-skeleton runs one component search,
@@ -78,15 +78,10 @@ class SimplicialComplex:
         facets = []
         incidence = [set() for _ in range(vertex_count)]
         adjacency = [set() for _ in range(vertex_count)]
-        largest, top = 0, set()  # the largest size kept so far, and its kept facets
+        largest = 0  # the largest size kept so far
         for facet in candidates:
-            if len(facet) > largest:
-                largest, top = len(facet), {facet}
-            elif len(facet) == largest:
-                # no kept facet is larger, so only a repeat of a kept one holds it
-                if facet in top:
-                    continue
-                top.add(facet)
+            if len(facet) >= largest:
+                largest = len(facet)
             else:
                 # A kept facet holds this candidate iff its vertices' incidences
                 # share an index, which needs the first vertex to neighbour the rest.
@@ -261,8 +256,8 @@ DiameterEstimate = namedtuple("DiameterEstimate", "value")
 # The most edges that build_complex's candidates may imply, summing
 # C(|facet|, 2) over them, and the most vertices a complex may have, checked
 # before any per-vertex table.  At both limits, loading a file peaked under
-# 1 GB RSS on Python 3.11: 819 MB for K_1265 as 799,480 2-vertex lines plus
-# singleton lines up to 200,000 vertices (the worst shape measured), 663 MB
+# 1 GB RSS on Python 3.11: 786 MB for K_1265 as 799,480 2-vertex lines plus
+# singleton lines up to 200,000 vertices (the worst shape measured), 620 MB
 # for 800,000 random edges over 200,000 vertices, 201 MB for 200,000
 # singleton lines and 174 MB for one facet of 1,265 vertices.  A 110 kB line
 # of 20,000 labels, which would need about 40 GB, fails at once.  Lower bytes

@@ -70,7 +70,7 @@ def _cofaces(adjacency, cliques) -> list[tuple[int, ...]]:
 def generate(spec: GenSpec) -> SimplicialComplex:
     """Generate a complex; deterministic for a fixed spec (seed included).
 
-    The candidates go straight to the constructor, already in its order, so only
+    The candidates go straight to the constructor, distinct and in its order, so only
     ``GenSpec``'s bound on ``n`` limits them.  Isolated vertices are kept as
     singleton facets so the vertex count survives facet-file round trips.
     """

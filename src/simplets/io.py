@@ -51,20 +51,28 @@ def _lines(source: str | os.PathLike | Iterable[str]) -> Iterable[str]:
 def read_facets(source: str | os.PathLike | Iterable[str]) -> ParsedFacets:
     """Parse a facet file into integer facets plus the label table.
 
-    A file with more than ``MAX_VERTICES`` distinct labels, or more than
-    ``MAX_IMPLIED_EDGES + MAX_VERTICES`` facet lines, raises InputError as
-    soon as the label or line past the limit is read.
+    A line that repeats the previous facet line adds no facet, but counts as
+    a facet line.  A file with more than ``MAX_VERTICES`` distinct labels, or
+    more than ``MAX_IMPLIED_EDGES + MAX_VERTICES`` facet lines, raises
+    InputError as soon as the label or line past the limit is read.
     """
     ids: dict[str, int] = {}
     facets: list[tuple[int, ...]] = []
+    lines = 0  # facet lines read, repeats included
+    previous = None  # the text of the last facet line
     for lineno, raw in enumerate(_lines(source), start=1):
-        tokens = raw.split()
-        if not tokens or tokens[0][0] == "#":
-            continue
-        if len(facets) == _MAX_FACET_LINES:
+        repeat = raw == previous
+        if not repeat:
+            tokens = raw.split()
+            if not tokens or tokens[0][0] == "#":
+                continue
+        if lines == _MAX_FACET_LINES:
             raise InputError(
                 f"line {lineno}: more than {_MAX_FACET_LINES} facet lines, {_WITHIN_1GB}"
             )
+        lines += 1
+        if repeat:
+            continue
         facet = []
         for token in tokens:
             if token not in ids:
@@ -77,6 +85,7 @@ def read_facets(source: str | os.PathLike | Iterable[str]) -> ParsedFacets:
         if len(set(facet)) != len(facet):
             raise InputError(f"line {lineno}: repeated vertex label in facet {tokens}")
         facets.append(tuple(facet))
+        previous = raw
     if not facets:
         raise InputError("no facets found in input")
     return ParsedFacets(facets, list(ids))

@@ -1,8 +1,10 @@
+import importlib
 import random
 
 import pytest
 
 from simplets import GenSpec, build_complex, generate, generate_catalog
+from simplets.complexes import SimplicialComplex
 
 
 @pytest.fixture(scope="session")
@@ -43,6 +45,22 @@ def path4():
 @pytest.fixture
 def triangle_with_pendant():
     return build_complex([{0, 1, 2}, {2, 3}], 4)
+
+
+@pytest.fixture
+def handed(monkeypatch):
+    """The candidates that ``generate`` and ``largest_connected_restriction``
+    hand the constructor, in order, filled as each builds."""
+    handed = []
+
+    def recording_constructor(n, candidates):
+        handed.extend(candidates)
+        return SimplicialComplex(n, handed)
+
+    # the package exports the function generate under the module's name
+    module = importlib.import_module("simplets.generate")
+    monkeypatch.setattr(module, "SimplicialComplex", recording_constructor)
+    return handed
 
 
 def random_complexes(count, max_n=12, seed=0, min_n=4):

@@ -3,7 +3,9 @@ import itertools
 import math
 import random
 from decimal import Decimal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -19,6 +21,7 @@ from simplets import (
     empirical_sfd,
     enumerate_connected_subsets,
     exact_counts,
+    failure_bound,
     generate,
     generate_catalog,
     induced_subcomplex,
@@ -235,16 +238,65 @@ def test_one_sample_misses_on_a_spread_out_sfd():
     assert oracles.miss_probability(exact.counts, 1, 0.8) == 1.0
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason=(
-        "ROADMAP item 1: required_samples(0.8, 0.8, 0.5) is 1, and on the exact-m5 "
-        "gen-seed-24 input at m = 6 the largest type frequency is 0.0704, so one "
-        "uniform sample misses by more than epsilon with probability 1.0"
-    ),
-)
 def test_paper_count_meets_its_guarantee_at_a_large_epsilon():
+    # the paper's count is 1 here; failure_bound raises it to 2 draws, which
+    # miss with probability 0.029
     epsilon, delta = 0.8, 0.8
     n = required_samples(epsilon, delta)
+    assert n == 2
     assert oracles.miss_probability(_exact_m5_input_at_m6().counts, n, epsilon) <= delta
+
+
+def _grid_supremum(n, epsilon, points=100_000):
+    """The largest g(p)/p over p = i/points, with g(p) = P(|Bin(n, p)/n - p| >
+    epsilon) from scipy's binomial tails and epsilon at its decimal value."""
+    from scipy.stats import binom
+
+    eps = Fraction(repr(epsilon))
+    i = np.arange(1, points + 1, dtype=np.int64)
+    # n * (i / points +- eps) over the common denominator, floored exactly
+    scale = points * eps.denominator
+    above = n * (i * eps.denominator + points * eps.numerator) // scale + 1
+    below = -(-n * (i * eps.denominator - points * eps.numerator) // scale) - 1
+    p = i / points
+    return float(np.max((binom.sf(above - 1, n, p) + binom.cdf(below, n, p)) / p))
+
+
+@pytest.mark.parametrize("n, epsilon", [
+    (11, 0.4), (19, 0.3), (166, 0.1), (281, 0.1), (2, 0.8),
+    # an upper and a lower threshold step at the same p: a cell across both
+    # pairs their worse sides, 0.077 against a supremum of 0.051
+    (15, 0.3),
+])
+def test_failure_bound_is_within_ten_percent_above_a_dense_grid(n, epsilon):
+    supremum = _grid_supremum(n, epsilon)
+    assert supremum <= failure_bound(n, epsilon) <= 1.1 * supremum
+
+
+def test_required_samples_raises_only_an_uncertified_count():
+    # the paper's counts certify, except where they are 1
+    for epsilon, delta, count in [(0.4, 0.1, 11), (0.3, 0.1, 19), (0.3, 0.2, 15), (0.1, 0.1, 166)]:
+        assert required_samples(epsilon, delta) == count
+        assert failure_bound(count, epsilon) <= delta
+    assert failure_bound(1, 0.8) > 0.8
+    assert required_samples(0.8, 0.8) == 2
+    # a small constant is raised to a count that certifies, one above one that does not
+    count = required_samples(0.1, 0.1, 0.1)
+    assert count > math.ceil(0.1 / 0.1**2 * (1 + math.log(10)))
+    assert failure_bound(count, 0.1) <= 0.1 < failure_bound(count - 1, 0.1)
+
+
+def test_failure_bound_is_computed_once_per_count_and_epsilon():
+    # each trial of validate asks for the count, and its JSON for the bound
+    failure_bound.cache_clear()
+    approx_module._certifies.cache_clear()
+    for _ in range(3):
+        failure_bound(required_samples(0.35, 0.1), 0.35)
+    assert failure_bound.cache_info().misses == 1
+    assert approx_module._certifies.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("n, epsilon", [(0, 0.1), (-1, 0.1), (1.5, 0.1), (5, 0), (5, 1.0), (5, math.nan)])
+def test_failure_bound_rejects_bad_arguments(n, epsilon):
+    with pytest.raises(InputError):
+        failure_bound(n, epsilon)

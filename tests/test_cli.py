@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from simplets import cli, exact_counts, generate_catalog, load_complex, required_samples
+from simplets import (
+    cli, exact_counts, failure_bound, generate_catalog, load_complex, required_samples,
+)
 from simplets.catalog import MAX_CATALOG_VERTICES
 from simplets.complexes import MAX_IMPLIED_EDGES, MAX_VERTICES
 from simplets.cli import build_parser, main
@@ -127,7 +129,7 @@ def test_exact_and_approx_key_order(capsys, tmp_path):
     code, out, _ = run(capsys, ["approx", "--input", path, "--m", "3", "--epsilon", "0.5"])
     assert code == 0
     assert list(json.loads(out)) == sfd_keys + [
-        "epsilon", "delta", "c", "samples", "burn_in", "seed", "labels"
+        "epsilon", "delta", "c", "samples", "burn_in", "seed", "labels", "failure_bound"
     ]
 
 
@@ -294,6 +296,9 @@ def test_validate_report(capsys, tmp_path):
     assert report["threshold"] == pytest.approx(expected_threshold)
     assert report["complex"]["n"] == 3
     assert report["params"]["samples_per_trial"] == required_samples(0.15, 0.2, 0.5)
+    assert list(report)[-1] == "failure_bound"
+    assert report["failure_bound"] == failure_bound(report["params"]["samples_per_trial"], 0.15)
+    assert report["failure_bound"] <= 0.2
 
     code, out2, _ = run(capsys, argv)
     assert json.loads(out2)["linf_errors"] == report["linf_errors"]
@@ -620,8 +625,9 @@ def _run_capped(args):
 @pytest.mark.parametrize(
     "make_input, limit",
     [(_hostile_line, "edges"), (_hostile_facets, "edges"),
-     (_hostile_singletons, "vertex labels"), (_hostile_pairs, "vertex labels")],
-    ids=["line", "facets", "singletons", "pairs"],
+     (_hostile_singletons, "vertex labels"), (_hostile_pairs, "vertex labels"),
+     (_hostile_repeats, "facet lines")],
+    ids=["line", "facets", "singletons", "pairs", "repeats"],
 )
 def test_hostile_facet_file_is_input_error_within_a_second(tmp_path, make_input, limit):
     path = make_input(tmp_path)
@@ -629,17 +635,6 @@ def test_hostile_facet_file_is_input_error_within_a_second(tmp_path, make_input,
     assert proc.returncode == 3, proc.stderr
     assert proc.stdout == "" and proc.stderr.startswith("input error:") and limit in proc.stderr
     assert elapsed < 1.0
-
-
-def test_repeated_line_file_is_input_error_under_the_memory_cap(tmp_path):
-    # A million lines cost a million passes of the reader's loop: about 0.7 s
-    # on Python 3.11 and 1.2-1.5 s on 3.10 and 3.12 on a 2-vCPU VM, so this
-    # checks the exit and the memory cap; test_io pins the limit itself.
-    path = _hostile_repeats(tmp_path)
-    proc, _ = _run_capped(["-m", "simplets", "exact", "--m", "3", "--input", str(path)])
-    assert proc.returncode == 3, proc.stderr
-    assert proc.stdout == "" and proc.stderr.startswith("input error:")
-    assert "facet lines" in proc.stderr
 
 
 def test_build_complex_over_the_vertex_limit_is_input_error_within_a_second():

@@ -1,5 +1,4 @@
 import copy
-import importlib
 import pickle
 import random
 from itertools import combinations
@@ -29,8 +28,6 @@ from simplets import complexes
 
 from .conftest import random_complexes
 from . import oracles
-
-generate_module = importlib.import_module("simplets.generate")
 
 
 def test_single_filled_triangle_shape(filled_triangle):
@@ -421,29 +418,30 @@ def _check_against_brute_force(candidates, n):
     GenSpec("flag", 16, 0.7, seed=2),
     GenSpec("lm", 16, 0.7, p_tri=0.8, p_tet=0.8, seed=2),
 ])
-def test_constructor_matches_the_brute_force_tables_on_dense_candidates(monkeypatch, spec):
-    handed = []
-
-    def recording_constructor(n, candidates):
-        handed.extend(candidates)
-        return complexes.SimplicialComplex(n, handed)
-
-    monkeypatch.setattr(generate_module, "SimplicialComplex", recording_constructor)
+def test_constructor_matches_the_brute_force_tables_on_dense_candidates(handed, spec):
     generate(spec)
     assert max(map(len, handed)) == 4
+    assert len(set(handed)) == len(handed)
     _check_against_brute_force(handed, spec.n)
-    # repeats of every size, each still before its proper subsets
+    # the same candidates in another order within each size
     rng = random.Random(spec.seed)
+    reordered = rng.sample(handed, len(handed))
+    reordered.sort(key=len, reverse=True)
+    _check_against_brute_force(reordered, spec.n)
+    # repeats of every size, shuffled, are build_complex's to drop
     repeated = handed + rng.sample(handed, len(handed) // 3)
     rng.shuffle(repeated)
-    repeated.sort(key=len, reverse=True)
-    _check_against_brute_force(repeated, spec.n)
+    facets, incidence, adjacency = oracles.built_tables(repeated, spec.n)
+    built = build_complex(repeated, spec.n)
+    assert (list(built.facets), list(built._incidence), list(built.adjacency)) == (
+        facets, incidence, adjacency,
+    )
 
 
-def test_constructor_drops_faces_and_repeats_handed_after_a_larger_facet():
-    # a triangle and its repeat, then an unrelated tetrahedron, then one of its
-    # faces and the triangle again: both of the last lie in a kept facet that
-    # is not of the largest size kept so far when they come
-    candidates = [(0, 1, 2), (0, 1, 2), (3, 4, 5, 6), (3, 4, 5), (0, 1, 2), (5, 6), (2, 3)]
+def test_constructor_drops_faces_handed_after_a_larger_facet():
+    # a triangle, then an unrelated tetrahedron, then one of its faces and a
+    # face of the triangle: both of the last lie in a kept facet that is not
+    # of the largest size kept so far when they come
+    candidates = [(0, 1, 2), (3, 4, 5, 6), (3, 4, 5), (1, 2), (5, 6), (2, 3)]
     complex_ = _check_against_brute_force(candidates, 7)
     assert complex_.facets == tuple(map(frozenset, [(0, 1, 2), (3, 4, 5, 6), (2, 3)]))

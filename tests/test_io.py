@@ -156,3 +156,11 @@ def test_read_stops_past_the_facet_line_limit():
     lines = chain(["# header\n", "\n"], repeat("a\n", limit + 1))
     with pytest.raises(InputError, match=f"line {limit + 3}: more than {limit} facet lines"):
         read_facets(lines)
+
+
+def test_read_skips_a_line_that_repeats_the_previous_facet_line():
+    # a repeat after a comment still follows that facet line; one further
+    # back is kept, and build_complex drops it
+    parsed = read_facets(["a b\n", "a b\n", "# note\n", "a b\n", "b c\n", "a b\n", "a b"])
+    assert parsed.facets == [(0, 1), (1, 2), (0, 1), (0, 1)]
+    assert parsed.labels == ["a", "b", "c"]
