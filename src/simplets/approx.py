@@ -93,19 +93,19 @@ def _refinements(n: int, epsilon: float, slack: float):
     threshold at p1, both over p0.  Near 0, where the lower tail is empty,
     the upper tail from threshold a is at most C(n, a) p^a.  The cell with
     the largest bound is split at a point where a threshold steps, or else
-    in half.  Thresholds are exact rationals, with ``epsilon`` read as the
-    decimal it prints as (0.3 is 3/10): where one tail's threshold steps up
-    at the point where the other's steps down, a float threshold can pair the
-    worse side of both, which no single p does.
+    in half.  Thresholds are exact, with ``epsilon`` read as the decimal it
+    prints as (0.3 is 3/10, en/ed): where one tail's threshold steps up at
+    the point where the other's steps down, a float threshold can pair the
+    worse side of both, which no single p does.  A point (x, s) stands for
+    x / (n ed 2^s), and a step k/n -+ epsilon is (k ed -+ n en, 0).
     """
-    # Imported here: loading fractions adds about 3 ms to every command.
-    from fractions import Fraction
-
-    eps = Fraction(repr(float(epsilon)))
-    en, ed = eps.numerator, eps.denominator
+    eps = float(epsilon)
+    mantissa, _, exponent = repr(eps).partition("e")
+    whole, _, digits = mantissa.partition(".")
+    en, ed = int(whole + digits), 10 ** (len(digits) - int(exponent or 0))
 
     def scaled(p, sign):  # n * (p + sign * eps) as an integer ratio
-        return n * (p.numerator * ed + sign * en * p.denominator), p.denominator * ed
+        return p[0] + sign * (n * en << p[1]), ed << p[1]
 
     def upper(p):  # the upper tail at p is X >= upper(p)
         top, bottom = scaled(p, 1)
@@ -115,44 +115,48 @@ def _refinements(n: int, epsilon: float, slack: float):
         top, bottom = scaled(p, -1)
         return -(-top // bottom) - 1
 
+    def real(p):  # p as a float
+        return p[0] / (n * ed << p[1])
+
     def point(p):  # a lower bound on g(p) / p
-        p_ = float(p)
+        p_ = real(p)
         return _at_least(n, upper(p), p_, p_, slack)[0] + _at_least(
             n, n - lower(p), 1.0 - p_, p_, slack
         )[0]
 
     def cell(p0, p1):  # an upper bound on g(p) / p over [p0, p1]
         a, b = upper(p0), lower(p1)
-        if p0:
-            p0_ = float(p0)
-            return _at_least(n, a, float(p1), p0_, slack)[1] + _at_least(
+        if p0[0]:
+            p0_ = real(p0)
+            return _at_least(n, a, real(p1), p0_, slack)[1] + _at_least(
                 n, n - b, 1.0 - p0_, p0_, slack
             )[1]
         if b >= 0:
             return math.inf
         log = math.lgamma(n + 1) - math.lgamma(a + 1) - math.lgamma(n - a + 1)
-        log += (a - 1) * math.log(p1)
+        log += (a - 1) * math.log(real(p1))
         return math.exp(log) if log < 700.0 else math.inf
 
     def split(p0, p1):  # a step in (p0, p1) near its middle, or else the middle
-        mid = (float(p0) + float(p1)) / 2
+        mid = (real(p0) + real(p1)) / 2
         top, bottom = scaled(p1, 1)
         first, last = upper(p0), min(-(-top // bottom) - 1, n)
         steps = []
         if first <= last:  # the upper threshold steps at k/n - eps
-            k = min(max(round(n * (mid + float(eps))), first), last)
-            steps.append((k * ed - n * en, n * ed))
+            k = min(max(round(n * (mid + eps)), first), last)
+            steps.append((k * ed - n * en, 0))
         top, bottom = scaled(p0, -1)
         first, last = max(top // bottom + 1, 0), lower(p1)
         if first <= last:  # the lower threshold steps at k/n + eps
-            k = min(max(round(n * (mid - float(eps))), first), last)
-            steps.append((k * ed + n * en, n * ed))
+            k = min(max(round(n * (mid - eps)), first), last)
+            steps.append((k * ed + n * en, 0))
         if steps:
-            return Fraction(*min(steps, key=lambda s: abs(s[0] / s[1] - mid)))
-        return (p0 + p1) / 2
+            return min(steps, key=lambda p: abs(real(p) - mid))
+        s = max(p0[1], p1[1])
+        return (p0[0] << s - p0[1]) + (p1[0] << s - p1[1]), s + 1
 
     best = 0.0  # the largest lower bound met
-    cells = [(-math.inf, Fraction(0), Fraction(1))]
+    cells = [(-math.inf, (0, 0), (n * ed, 0))]
     while True:
         bound, p0, p1 = heapq.heappop(cells)
         yield -bound, best

@@ -30,7 +30,7 @@ from simplets import (
 )
 from simplets import approx as approx_module
 
-from . import oracles
+from . import bound_experiment, oracles
 
 
 def test_required_samples_reference_values():
@@ -39,6 +39,9 @@ def test_required_samples_reference_values():
     assert required_samples(0.1, 0.1, 0.5) == math.ceil(
         0.5 / 0.1**2 * (1 + math.log(1 / 0.1))
     )
+    # small constants, raised until failure_bound certifies the count
+    assert required_samples(0.1, 0.1, 0.1) == 105
+    assert required_samples(0.05, 0.3, 0.2) == 250
 
 
 def test_required_samples_epsilon_scaling():
@@ -192,6 +195,45 @@ def test_guarantee_with_ideal_uniform_sampler(facets, n, catalog3):
     assert failures / trials <= slack
 
 
+def test_bound_experiment_table_meets_its_gate():
+    table = bound_experiment
+    rows = table.read_table()
+    grid = itertools.product(table.FAMILIES, table.GEN_SEEDS, table.MS, table.EPSILONS)
+    assert [(r["family"], r["gen seed"], r["m"], r["epsilon"]) for r in rows] == [
+        tuple(map(str, key)) for key in grid
+    ]
+    for r in rows:
+        epsilon, count = float(r["epsilon"]), int(r["count"])
+        # the paper's count, certified, and the bound the table reports for it
+        assert count == table.paper_count(epsilon) == required_samples(epsilon, table.DELTA)
+        assert r["failure_bound"] == f"{failure_bound(count, epsilon):.3g}"
+        assert float(r["failure rate"]) <= table.SLACK, r
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("family, gen_seed, m, epsilon", [("lm", 0, 4, 0.3), ("flag", 1, 5, 0.1)])
+def test_bound_experiment_rows_reproduce_within_binomial_noise(family, gen_seed, m, epsilon):
+    """Two committed rows re-run on fresh draws."""
+    key = tuple(map(str, (family, gen_seed, m, epsilon)))
+    rows = bound_experiment.read_table()
+    committed = next(r for r in rows if (r["family"], r["gen seed"], r["m"], r["epsilon"]) == key)
+    complex_, subsets, exact = bound_experiment.setting(family, gen_seed, m)
+    assert len(subsets) == int(committed["subsets"])
+    errors = bound_experiment.errors(complex_, subsets, exact, epsilon, "re-run")
+    trials = bound_experiment.TRIALS
+
+    def noise(p):  # three standard deviations of the difference of two binomial shares
+        p = max(p, 1 / trials)
+        return 3 * math.sqrt(2 * p * (1 - p) / trials)
+
+    rate, old = sum(e > epsilon for e in errors) / trials, float(committed["failure rate"])
+    assert abs(rate - old) <= noise((rate + old) / 2), (rate, committed)
+    # a tenth of the errors lie above the 90th percentile, printed to 4 places
+    top = float(committed["p90 error"])
+    assert sum(e > top + 5e-5 for e in errors) / trials <= 0.1 + noise(0.1)
+    assert sum(e >= top - 5e-5 for e in errors) / trials >= 0.1 - noise(0.1)
+
+
 def test_mcmc_guarantee_small_complex(catalog3):
     """End-to-end guarantee on a small complex, reduced trial count."""
     complex_ = build_complex([{0, 1, 2}, {2, 3}, {3, 4}], 5)
@@ -262,15 +304,37 @@ def _grid_supremum(n, epsilon, points=100_000):
     return float(np.max((binom.sf(above - 1, n, p) + binom.cdf(below, n, p)) / p))
 
 
+# failure_bound's values, bit for bit, with epsilon read as the decimal it prints as
+_PINNED_BOUNDS = {
+    (11, 0.4): "0.02646943785231088",
+    (19, 0.3): "0.023816299496056247",
+    (166, 0.1): "0.02288414277622232",
+    (281, 0.1): "0.001751666912814155",
+    (2, 0.8): "0.2015748031496467",
+    (15, 0.3): "0.05152532793993043",
+    (30, 0.123456789): "0.5723117456559458",
+    # the supremum lies just above epsilon, finer than the grid resolves
+    (7, 2.5e-07): "4000000.1192114884",
+    (40, 1e-05): "100000.76202998194",
+}
+
+
 @pytest.mark.parametrize("n, epsilon", [
     (11, 0.4), (19, 0.3), (166, 0.1), (281, 0.1), (2, 0.8),
     # an upper and a lower threshold step at the same p: a cell across both
     # pairs their worse sides, 0.077 against a supremum of 0.051
     (15, 0.3),
+    (30, 0.123456789),
 ])
 def test_failure_bound_is_within_ten_percent_above_a_dense_grid(n, epsilon):
     supremum = _grid_supremum(n, epsilon)
     assert supremum <= failure_bound(n, epsilon) <= 1.1 * supremum
+    assert repr(failure_bound(n, epsilon)) == _PINNED_BOUNDS[n, epsilon]
+
+
+@pytest.mark.parametrize("n, epsilon", [(7, 2.5e-07), (40, 1e-05)])
+def test_failure_bound_is_pinned_where_a_grid_cannot_resolve_it(n, epsilon):
+    assert repr(failure_bound(n, epsilon)) == _PINNED_BOUNDS[n, epsilon]
 
 
 def test_required_samples_raises_only_an_uncertified_count():
