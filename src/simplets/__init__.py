@@ -1,7 +1,8 @@
 """Simplet frequency distribution (SFD) vectors of simplicial complexes.
 
-Exact enumeration, canonical simplet-type classification, uniform MCMC
-simplet sampling, and (epsilon, delta)-approximate SFD estimation.
+Exact enumeration, canonical simplet-type classification, uniform simplet
+sampling (an MCMC walk, and exact growth with rejection), and (epsilon,
+delta)-approximate SFD estimation.
 """
 
 from .approx import (
@@ -31,6 +32,7 @@ from .complexes import (
 from .errors import InputError, IntegrityError, SimpletsError, StructuralError
 from .exact import SFDVector, enumerate_connected_subsets, exact_counts
 from .generate import GenSpec, generate, largest_connected_restriction
+from .growth import GrowthSampler
 from .io import load_complex, read_facets, write_facets
 from .sampler import (
     SimpletSampler,
@@ -46,6 +48,7 @@ __version__ = "0.1.0"
 __all__ = [
     "DiameterEstimate",
     "GenSpec",
+    "GrowthSampler",
     "InputError",
     "IntegrityError",
     "SFDVector",

@@ -17,10 +17,10 @@ import sys
 from collections.abc import Sequence
 
 from .catalog import SimpletCatalog, TypeClassifier
-from .complexes import Simplet, SimplicialComplex, _index, _real
+from .complexes import Simplet, SimplicialComplex, _check_positive, _index, _real
 from .errors import InputError
 from .exact import SFDVector
-from .sampler import DEFAULT_C_MIX, SimpletSampler, WalkConfig, _check_positive
+from .sampler import DEFAULT_C_MIX, SimpletSampler, WalkConfig
 
 __all__ = [
     "DEFAULT_VC_CONSTANT",

@@ -32,7 +32,7 @@ from .catalog import MAX_CATALOG_VERTICES, SimpletCatalog, generate_catalog
 from .complexes import SimplicialComplex, skeleton_diameter
 from .errors import InputError, IntegrityError, StructuralError
 from .exact import exact_counts
-from .generate import GenSpec, generate, largest_connected_restriction
+from .generate import MODELS, GenSpec, generate, largest_connected_restriction
 from .io import load_complex, write_facets
 from .sampler import DEFAULT_C_MIX, burn_in_steps
 
@@ -91,7 +91,7 @@ def _add_sampling_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_gen_flags(parser: argparse.ArgumentParser, required: bool) -> None:
-    parser.add_argument("--model", choices=("flag", "lm"), required=required, help="generator model")
+    parser.add_argument("--model", choices=MODELS, required=required, help="generator model")
     parser.add_argument("--n", type=_positive_int, help="number of vertices")
     parser.add_argument("--p-edge", type=_probability, help="edge probability")
     parser.add_argument("--p-tri", type=_probability, default=0.0, help="triangle fill probability (lm)")
@@ -138,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--sizes", type=_sizes, required=True, help="comma-separated vertex counts")
     p_bench.add_argument("--avg-degree", type=_positive_float, required=True,
                          help="target average degree; edge probability is avg/(n-1)")
-    p_bench.add_argument("--model", choices=("flag", "lm"), default="flag")
+    p_bench.add_argument("--model", choices=MODELS, default="flag")
     p_bench.add_argument("--p-tri", type=_probability, default=0.0)
     p_bench.add_argument("--p-tet", type=_probability, default=0.0)
     _add_sampling_flags(p_bench)

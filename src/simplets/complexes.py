@@ -9,6 +9,7 @@ the one encoding of a simplet's simplices.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from collections import namedtuple
 from collections.abc import Iterable
@@ -49,6 +50,12 @@ def _real(value, what: str):
         if not isinstance(value, numbers.Real):
             raise InputError(f"non-real {what} {value!r}")
     return value
+
+
+def _check_positive(name: str, value: float) -> None:
+    """InputError unless ``value`` is a finite positive number."""
+    if not (0 < _real(value, name) < math.inf):
+        raise InputError(f"{name} must be a finite positive number, got {value}")
 
 
 class SimplicialComplex:

@@ -31,7 +31,7 @@ import sys
 from collections.abc import Sequence
 from itertools import combinations
 
-from .complexes import Simplet, SimplicialComplex, _index, _positions, _real, skeleton_diameter
+from .complexes import Simplet, SimplicialComplex, _check_positive, _index, _positions, skeleton_diameter
 from .errors import InputError, IntegrityError, StructuralError
 from .record import Record
 
@@ -52,12 +52,6 @@ DEFAULT_C_MIX = 1.0
 
 # The sampler's memo holds at most this many states.
 _CACHE_CAP = 20_000
-
-
-def _check_positive(name: str, value: float) -> None:
-    """InputError unless ``value`` is a finite positive number."""
-    if not (0 < _real(value, name) < math.inf):
-        raise InputError(f"{name} must be a finite positive number, got {value}")
 
 
 class WalkConfig(Record):

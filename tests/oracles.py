@@ -9,10 +9,13 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import combinations, permutations
+from fractions import Fraction
+from itertools import accumulate, combinations, permutations
 from typing import Iterator
 
-from simplets import SimplicialComplex, enumerate_connected_subsets, state_degree, state_neighbors
+from simplets import (
+    SimplicialComplex, build_complex, enumerate_connected_subsets, state_degree, state_neighbors,
+)
 from simplets.complexes import simplex_layout
 
 
@@ -386,3 +389,143 @@ def miss_probability(counts, n: int, epsilon: float) -> float:
         within = placed
         left -= c
     return 1.0 - within.get(0, 0.0)
+
+
+def growth_weights(complex_: SimplicialComplex, m: int) -> tuple[list[int], list[int]]:
+    """The growth sampler's bounds and size weights: G_i, the sum of the i
+    largest vertex degrees, for i = 1 .. min(m, n) - 1, and
+    W_k = G_1 * ... * G_{k-1} for each size k = 2 .. min(m, n)."""
+    degrees = sorted((len(near) for near in complex_.adjacency), reverse=True)
+    bounds = [sum(degrees[:i]) for i in range(1, min(m, complex_.vertex_count))]
+    return bounds, [math.prod(bounds[: k - 1]) for k in range(2, len(bounds) + 2)]
+
+
+def ordering_sums(complex_: SimplicialComplex, m: int) -> dict[tuple[int, ...], Fraction]:
+    """f(S) = n q(S) for every connected set S of 2..m vertices, q(S) the
+    probability that half-edge growth from a uniform root adds S's vertices
+    in some order: the DP f(T) = sum over x in T of
+    f(T - x) e(x, T - x) / D(T - x), from f({x}) = 1, memoised over every
+    connected set (a disconnected set has no ordering, so f is 0 there)."""
+    adjacency = complex_.adjacency
+    f: dict[frozenset[int], Fraction] = {frozenset([v]): Fraction(1) for v in range(complex_.vertex_count)}
+    states = sorted(enumerate_connected_subsets(complex_, m), key=lambda s: (len(s), s))
+    for state in states:
+        total = Fraction(0)
+        for x in state:
+            rest = frozenset(state) - {x}
+            if rest in f:
+                edges = len(adjacency[x] & rest)
+                total += f[rest] * edges / sum(len(adjacency[v]) for v in rest)
+        f[frozenset(state)] = total
+    return {state: f[frozenset(state)] for state in states}
+
+
+def acceptance_law(complex_: SimplicialComplex, m: int) -> dict[tuple[int, ...], Fraction]:
+    """The probability that one proposal of the growth sampler outputs each
+    state: the size weight w_k = W_k / sum(W) times q(S) times the
+    acceptance min(1, C_k / q(S)), with C_k = 1 / (n W_k) and q(S) from
+    ``ordering_sums``.  It is one constant exactly when no state's q(S) falls
+    below its C_k."""
+    n = complex_.vertex_count
+    _, weights = growth_weights(complex_, m)
+    total = sum(weights)
+    law = {}
+    for state, f in ordering_sums(complex_, m).items():
+        weight = weights[len(state) - 2]
+        law[state] = Fraction(weight, total) * min(f / n, Fraction(1, n * weight))
+    return law
+
+
+def brute_acceptance_law(complex_: SimplicialComplex, m: int):
+    """``(ordering_sums, acceptance_law)`` by brute force over every ordering
+    of every state, with the pre-reject.  An ordering v_1 .. v_k has
+    probability (1/n) * prod e(v_(i+1), P_i) / D(P_i) over its prefixes P_i,
+    q(S) sums it over S's orderings, and an ordering is accepted with
+    probability min(1, prod D(P_i) / G_i, C_k / q(S))."""
+    n, adjacency = complex_.vertex_count, complex_.adjacency
+    bounds, weights = growth_weights(complex_, m)
+    total = sum(weights)
+    sums, law = {}, {}
+    for state in enumerate_connected_subsets(complex_, m):
+        k = len(state)
+        drawn = []  # (probability, pre-reject ratio) per ordering
+        for order in permutations(state):
+            probability, ratio = Fraction(1, n), Fraction(1)
+            for i in range(1, k):
+                prefix = set(order[:i])
+                half_edges = sum(len(adjacency[v]) for v in prefix)
+                probability *= Fraction(len(adjacency[order[i]] & prefix), half_edges)
+                ratio *= Fraction(half_edges, bounds[i - 1])
+            drawn.append((probability, ratio))
+        q = sum(p for p, _ in drawn)
+        bound = Fraction(1, n * weights[k - 2])
+        sums[state] = n * q
+        law[state] = Fraction(weights[k - 2], total) * sum(p * min(1, ratio, bound / q) for p, ratio in drawn)
+    return sums, law
+
+
+def reference_growth(complex_: SimplicialComplex, m: int, seed: int, count: int) -> list[tuple[int, ...]]:
+    """``count`` samples of the growth sampler in exact arithmetic, from one
+    ``random.Random(seed)`` stream drawn in the sampler's order.
+
+    A proposal draws ``randrange(sum(W))`` for its size, ``randrange(n)`` for
+    its root and ``random()`` for its U.  Before each pick it is rejected when
+    U >= prod D(P_i) / G_i over the sets grown so far; a pick is
+    ``randrange(D(P))`` into the half-edges listed vertex by vertex in growth
+    order, each vertex's neighbours sorted, and a far end inside P or a root
+    with no neighbour rejects.  A full set is kept when U < C_k / q(S), with
+    q(S) from ``ordering_sums``.
+    """
+    rng = random.Random(seed)
+    n = complex_.vertex_count
+    neighbors = [sorted(near) for near in complex_.adjacency]
+    bounds, weights = growth_weights(complex_, m)
+    ends = list(accumulate(weights))
+    sums = ordering_sums(complex_, m)
+    samples = []
+    while len(samples) < count:
+        r, size = rng.randrange(ends[-1]), 2
+        while r >= ends[size - 2]:
+            size += 1
+        grown = [rng.randrange(n)]
+        u = int(rng.random() * 2**53)  # U is u / 2^53 exactly
+        reached, allowed = 1, 1  # prod D(P_i) and prod G_i so far
+        for i in range(1, size):
+            half_edges = [w for v in grown for w in neighbors[v]]
+            if not half_edges:
+                break
+            reached, allowed = reached * len(half_edges), allowed * bounds[i - 1]
+            if u * allowed >= reached << 53:
+                break
+            w = half_edges[rng.randrange(len(half_edges))]
+            if w in grown:
+                break
+            grown.append(w)
+        else:
+            state = tuple(sorted(grown))
+            if Fraction(u * weights[size - 2], 2**53) * sums[state] < 1:
+                samples.append(state)
+    return samples
+
+
+def lopsided(left: int, path: int, right: int, filled: bool = False) -> SimplicialComplex:
+    """K_left and K_right joined by a path through ``path`` more vertices:
+    the cliques as edges only, or as filled simplices (each clique one
+    facet) when ``filled``."""
+    right_start = left + path
+    cliques = [range(left), range(right_start, right_start + right)]
+    facets = [set(c) for c in cliques] if filled else [set(e) for c in cliques for e in combinations(c, 2)]
+    facets += [{v, v + 1} for v in range(left - 1, right_start)]
+    return build_complex(facets, right_start + right)
+
+
+def lopsided_zoo() -> list[tuple[SimplicialComplex, int]]:
+    """Clique-path-clique complexes of very unequal degrees, with 1k-2k
+    states each at the given m."""
+    return [
+        (lopsided(13, 3, 8), 4),
+        (lopsided(13, 3, 8, filled=True), 4),
+        (lopsided(19, 2, 5), 3),
+        (lopsided(11, 2, 4), 5),
+        (lopsided(10, 2, 4, filled=True), 6),
+    ]

@@ -16,6 +16,7 @@ from scipy import stats
 
 from simplets import (
     GenSpec,
+    GrowthSampler,
     Simplet,
     SimpletSampler,
     WalkConfig,
@@ -257,3 +258,27 @@ def test_criterion_9_scaling_profile():
     elapsed = time.perf_counter() - start
     assert ratio < 3.0, f"per-sample time ratio {ratio:.2f} not clearly sublinear"
     report(9, f"{'; '.join(details)}; ratio(400/100)={ratio:.2f} < 3.0", elapsed)
+
+
+def test_guarantee_growth_sampler(catalog4):
+    # criteria 6 and 7's check, with the growth sampler's exactly uniform,
+    # independent samples in place of the ideal sampler's and the walk's
+    start = time.perf_counter()
+    complex_ = _criterion_complex()
+    exact = exact_counts(complex_, catalog4)
+    epsilon, delta, trials = 0.1, 0.1, 200
+    count = required_samples(epsilon, delta, 0.5)
+    assert count == 166
+    sampler = GrowthSampler(complex_, 4, rng_seed=2026)
+    failures = 0
+    for _ in range(trials):
+        draws = [sampler.sample() for _ in range(count)]
+        if linf_distance(empirical_sfd(draws, catalog4), exact) > epsilon:
+            failures += 1
+    threshold = delta + 2.0 * math.sqrt(delta * (1.0 - delta) / trials)
+    elapsed = time.perf_counter() - start
+    assert failures / trials <= threshold
+    print(
+        f"\ngrowth sampler guarantee: PASS — {failures}/{trials} failures "
+        f"({failures / trials:.3f}) <= {threshold:.4f} ({elapsed:.2f}s)"
+    )

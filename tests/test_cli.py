@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -13,6 +14,7 @@ from simplets import (
 )
 from simplets.catalog import MAX_CATALOG_VERTICES
 from simplets.complexes import MAX_IMPLIED_EDGES, MAX_VERTICES
+from simplets.generate import MODELS
 from simplets.cli import build_parser, main
 
 SAMPLING_COMMANDS = ("approx", "validate", "bench")
@@ -70,6 +72,11 @@ def test_sampling_commands_share_defaults(tmp_path):
         for command in SAMPLING_COMMANDS
     ]
     assert defaults == [{"epsilon": 0.1, "delta": 0.1, "c": 0.5, "c_mix": 1.0, "seed": 0}] * 3
+    # every --model flag offers the generator's own model list
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    for command in ("gen", "validate", "bench"):
+        model = next(a for a in commands[command]._actions if a.dest == "model")
+        assert model.choices == MODELS
 
 
 def test_no_command_imports_numpy(tmp_path):
@@ -79,7 +86,7 @@ def test_no_command_imports_numpy(tmp_path):
     # library alone.  Nor does any command load dataclasses, inspect, typing
     # or pathlib, which together cost more start-up time than the modules
     # the commands need, or fractions, decimal and numbers, which the sample
-    # count's exact arithmetic does without (about 2 ms).
+    # count's exact arithmetic and the growth sampler do without (about 2 ms).
     facets = tmp_path / "facets.txt"
     facets.write_text("0 1 2\n2 3\n3 4 5\n")
     script = f"""
@@ -99,6 +106,10 @@ for argv in argvs:
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0, argv
 assert "numpy" not in sys.modules, "a command imported numpy"
+assert "simplets.growth" in sys.modules, "the package no longer loads the growth sampler"
+from simplets import GrowthSampler, load_complex
+sampler = GrowthSampler(load_complex(path)[0], 4)
+assert len({{sampler.sample() for _ in range(50)}}) > 1
 forbidden = ("dataclasses", "inspect", "typing", "pathlib", "fractions", "decimal", "numbers")
 loaded = [name for name in forbidden if name in sys.modules]
 assert not loaded, f"a command imported {{loaded}}"
